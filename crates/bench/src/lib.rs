@@ -20,6 +20,8 @@ pub mod timing;
 
 use commset_sim::CostModel;
 use commset_workloads::Workload;
+use std::io::{ErrorKind, Write};
+use std::process::ExitCode;
 
 /// Threads evaluated by Figure 6 (the paper's x-axis, 2..=8 plus the
 /// 1-thread baseline defined as 1.0).
@@ -71,6 +73,22 @@ pub fn cell(v: Option<f64>) -> String {
     match v {
         Some(v) => format!("{v:5.2}"),
         None => "  n/a".to_string(),
+    }
+}
+
+/// Runs a report binary's `body` against a locked stdout. A reader that
+/// goes away early (`figure6 | head -1`) ends the run with success — there
+/// is nobody left to write for — instead of a broken-pipe panic; any other
+/// write error is reported and fails the run.
+pub fn write_report(body: impl FnOnce(&mut dyn Write) -> std::io::Result<()>) -> ExitCode {
+    let mut out = std::io::stdout().lock();
+    match body(&mut out).and_then(|()| out.flush()) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: writing stdout: {e}");
+            ExitCode::FAILURE
+        }
     }
 }
 

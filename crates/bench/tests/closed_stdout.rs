@@ -1,0 +1,30 @@
+//! A reader that goes away early (`figure6 | head -1`) must not turn
+//! into a broken-pipe panic: the binaries stop writing and exit 0.
+
+use std::process::{Command, Stdio};
+
+fn exits_cleanly_with_stdout_closed(bin: &str) {
+    let mut child = Command::new(bin)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawns");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("waits");
+    assert!(
+        out.status.success(),
+        "{bin}: {:?}\n{}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+#[test]
+fn figure6_exits_cleanly_with_stdout_closed() {
+    exits_cleanly_with_stdout_closed(env!("CARGO_BIN_EXE_figure6"));
+}
+
+#[test]
+fn table2_exits_cleanly_with_stdout_closed() {
+    exits_cleanly_with_stdout_closed(env!("CARGO_BIN_EXE_table2"));
+}

@@ -19,7 +19,7 @@
 use crate::model::{ModelConfig, ModelWorld};
 use commset_interp::globals::PlainGlobals;
 use commset_interp::vm::GlobalMem;
-use commset_interp::{prepare_engine, EngineVm, ExecError, StepOutcome};
+use commset_interp::{prepare_engine, EngineVm, ExecError, SpecialOp, StepOutcome};
 use commset_ir::Module;
 use commset_runtime::rng::SplitMix64;
 use commset_runtime::Value;
@@ -320,6 +320,8 @@ struct CWorker<'m> {
 
 struct Machine<'m> {
     module: &'m Module,
+    /// The decoded intrinsics, indexed by `IntrinsicId`.
+    ops: Vec<SpecialOp>,
     world: ModelWorld,
     budget: u64,
     queues: Vec<VecDeque<u64>>,
@@ -373,22 +375,25 @@ impl<'m> Machine<'m> {
                 StepOutcome::Finished(_) => return Ok(WState::Done),
                 StepOutcome::Special(p) => {
                     let name = module.intrinsics.name(p.intrinsic.0 as usize);
-                    match name {
-                        "__lock_acquire" | "__lock_release" | "__tx_begin" | "__tx_commit" => {
+                    match self.ops[p.intrinsic.0 as usize] {
+                        SpecialOp::LockAcquire
+                        | SpecialOp::LockRelease
+                        | SpecialOp::TxBegin
+                        | SpecialOp::TxCommit => {
                             // Regions execute atomically: synchronization
                             // is vacuous under the controlled scheduler.
                             vm.resolve_special(Value::Int(0));
                         }
-                        "__q_push" | "__q_push_f" => {
+                        SpecialOp::QueuePush => {
                             let q = self.qidx(p.args[0].as_int())?;
                             self.queues[q].push_back(p.args[1].to_bits());
                             vm.resolve_special(Value::Int(0));
                         }
-                        "__q_pop" | "__q_pop_f" => {
+                        SpecialOp::QueuePop { float } => {
                             let q = self.qidx(p.args[0].as_int())?;
                             match self.queues[q].pop_front() {
                                 Some(bits) => {
-                                    vm.resolve_special(Value::from_bits(bits, name == "__q_pop_f"));
+                                    vm.resolve_special(Value::from_bits(bits, float));
                                 }
                                 None => {
                                     if in_region {
@@ -401,10 +406,10 @@ impl<'m> Machine<'m> {
                                 }
                             }
                         }
-                        "__par_invoke" => {
+                        SpecialOp::ParInvoke => {
                             return Err(CheckError::Unsupported("nested parallel section".into()))
                         }
-                        _ => {
+                        SpecialOp::World => {
                             if self.pause_world && !in_region {
                                 // A bare world call is a shard-acquisition
                                 // point: surface it to the scheduler. The
@@ -450,6 +455,7 @@ pub fn run_controlled(
     let bc = prepare_engine(module, model_cfg.engine);
     let mut machine = Machine {
         module,
+        ops: SpecialOp::decode_table(&module.intrinsics),
         world: ModelWorld::new(model_cfg.clone()),
         budget: step_budget,
         queues: plan.queues.iter().map(|_| VecDeque::new()).collect(),
@@ -472,7 +478,7 @@ pub fn run_controlled(
             StepOutcome::Finished(_) => break,
             StepOutcome::Special(p) => {
                 let name = module.intrinsics.name(p.intrinsic.0 as usize);
-                if name == "__par_invoke" {
+                if machine.ops[p.intrinsic.0 as usize] == SpecialOp::ParInvoke {
                     let section = p.args[0].as_int();
                     if section != plan.section {
                         return Err(CheckError::Unsupported(format!(

@@ -429,27 +429,37 @@ fn run(args: &Args) -> Result<(), String> {
 
     match args.command.as_str() {
         "analyze" => {
-            println!("file:              {}", args.file);
-            println!("sloc:              {}", analysis.sloc);
-            println!("annotation lines:  {}", analysis.annotation_lines);
-            println!("relaxed PDG edges: {}", analysis.relaxed_edges);
-            println!("countable loop:    {}", analysis.hot.shape.is_countable());
-            println!("DOALL legal:       {}", analysis.doall_legal());
+            let mut out = format!("file:              {}\n", args.file);
+            out.push_str(&format!("sloc:              {}\n", analysis.sloc));
+            out.push_str(&format!(
+                "annotation lines:  {}\n",
+                analysis.annotation_lines
+            ));
+            out.push_str(&format!("relaxed PDG edges: {}\n", analysis.relaxed_edges));
+            out.push_str(&format!(
+                "countable loop:    {}\n",
+                analysis.hot.shape.is_countable()
+            ));
+            out.push_str(&format!("DOALL legal:       {}\n", analysis.doall_legal()));
             let schemes = compiler.applicable_schemes(&analysis, args.threads);
             let names: Vec<String> = schemes.iter().map(|s| s.to_string()).collect();
-            println!("applicable:        [{}]", names.join(", "));
+            out.push_str(&format!("applicable:        [{}]\n", names.join(", ")));
             let inhibitors = analysis.explain_inhibitors();
             if inhibitors.is_empty() {
-                println!("inhibitors:        none");
+                out.push_str("inhibitors:        none\n");
             } else {
-                println!("inhibitors:");
+                out.push_str("inhibitors:\n");
                 for line in inhibitors {
-                    println!("  {line}");
+                    out.push_str(&format!("  {line}\n"));
                 }
             }
             if args.pdg {
-                println!("\n{}", analysis.pdg_dump());
+                out.push_str(&format!("\n{}\n", analysis.pdg_dump()));
             }
+            // One write, errors ignored: `commsetc analyze --pdg | head`
+            // must not panic on the closed pipe.
+            use std::io::Write;
+            let _ = std::io::stdout().write_all(out.as_bytes());
             Ok(())
         }
         "schedules" => {

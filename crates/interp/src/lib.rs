@@ -19,6 +19,9 @@
 //!   scheduler over one VM per worker thread, using `commset-sim`'s lock,
 //!   queue and TM models. This is what regenerates the paper's Figure 6 on
 //!   a single-core host.
+//! * [`special`] — [`special::SpecialOp`], the one decode of the runtime
+//!   specials (locks, queues, transactions, `__par_invoke`) every
+//!   executor dispatches on.
 //! * [`thread_exec`] — the real-thread executor (OS threads, the runtime's
 //!   lock-free queues and raw locks), used by the correctness tests.
 //! * [`error`] — structured [`error::ExecError`] diagnostics: dynamic
@@ -53,6 +56,7 @@ pub mod globals;
 pub mod metrics;
 pub mod seq;
 pub mod sim_exec;
+pub mod special;
 pub mod supervise;
 pub mod thread_exec;
 pub mod trace;
@@ -66,6 +70,7 @@ pub use error::ExecError;
 pub use metrics::MetricsLocal;
 pub use seq::{run_sequential, run_sequential_with};
 pub use sim_exec::{run_simulated, run_simulated_with, SimOutcome, SimStats};
+pub use special::SpecialOp;
 pub use supervise::{
     run_supervised, Backend, CompiledProgram, ProgramDesc, ProgramSource, RecoveryPolicy,
     SupervisedFailure, SupervisedOutcome, Validator,

@@ -4,6 +4,7 @@ use crate::config::Engine;
 use crate::engine::{prepare_engine, program_cost_factor, EngineVm};
 use crate::error::ExecError;
 use crate::globals::PlainGlobals;
+use crate::special::SpecialOp;
 use crate::vm::StepOutcome;
 use commset_ir::Module;
 use commset_runtime::{Registry, Value, World};
@@ -59,6 +60,7 @@ pub fn run_sequential_with(
     let factor = program_cost_factor(engine, cm);
     let mut globals = PlainGlobals::new(module);
     let mut vm = EngineVm::for_name(module, bc.as_ref(), entry, &[])?;
+    let ops = SpecialOp::decode_table(&module.intrinsics);
     let mut sim_time: u64 = 0;
     let mut insts: u64 = 0;
     loop {
@@ -69,11 +71,7 @@ pub fn run_sequential_with(
             }
             StepOutcome::Special(p) => {
                 let name = module.intrinsics.name(p.intrinsic.0 as usize);
-                if name.starts_with("__par")
-                    || name.starts_with("__q_")
-                    || name.starts_with("__lock")
-                    || name.starts_with("__tx")
-                {
+                if ops[p.intrinsic.0 as usize].is_runtime() {
                     return Err(ExecError::ParallelIntrinsicInSequential {
                         name: name.to_string(),
                     });

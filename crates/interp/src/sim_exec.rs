@@ -4,32 +4,49 @@
 //! the section's workers as virtual threads under a discrete-event
 //! scheduler: each worker VM owns a clock; lock, queue and transaction
 //! interactions are resolved by `commset-sim`'s contention models; the
-//! scheduler always advances the minimum-clock runnable worker, so shared
-//! state mutates in simulated-time order and the whole run is
-//! deterministic. Speedups reported by the benchmark harness are ratios of
-//! the `sim_time` produced here.
+//! scheduler always advances the ready worker with the lowest
+//! `(clock, index)`, so shared state mutates in simulated-time order and
+//! the whole run is deterministic. Speedups reported by the benchmark
+//! harness are ratios of the `sim_time` produced here.
+//!
+//! Scheduling: the picked worker runs until another ready worker
+//! overtakes it. Alongside the pick the scheduler records the lowest
+//! `(clock, index)` among the *other* ready workers — the rival — and
+//! keeps stepping the picked worker while its own `(clock, index)` stays
+//! below it. This is the same schedule as re-picking the minimum before
+//! every op: a plain op changes only the running worker's clock and
+//! nobody's status, so the rival is still the minimum of the rest and the
+//! re-pick would choose the running worker exactly when it is still below
+//! the rival. A special (lock, queue, transaction, world call) can block
+//! the runner or wake others, so after each one the scheduler picks
+//! afresh.
+//!
+//! Runtime specials are decoded once per run ([`SpecialOp`] plus the
+//! pre-resolved world handler and channel footprint of every intrinsic),
+//! so no name is compared or hashed per call.
 //!
 //! Robustness: every dynamic error and contract violation surfaces as an
 //! [`ExecError`] (no panics); [`run_simulated_with`] additionally injects
 //! an adversarial [`FaultPlan`](commset_runtime::FaultPlan) schedule and
 //! runs the waits-for watchdog, whose report lands in [`SimStats`].
 
+use crate::bytecode::BcModule;
 use crate::config::{ExecConfig, WorldMode};
 use crate::engine::{prepare_engine, program_cost_factor, EngineVm};
 use crate::error::ExecError;
 use crate::globals::PlainGlobals;
 use crate::metrics::MetricsLocal;
+use crate::special::SpecialOp;
 use crate::trace::{TraceEvent, TraceSink};
 use crate::vm::{PendingSpecial, StepOutcome};
-use commset_ir::Module;
+use commset_ir::{ChannelId, EffectSig, Module};
+use commset_runtime::intrinsics::Handler;
 use commset_runtime::{
-    DeltaBuffer, DeltaSnapshot, FaultInjector, FaultStats, Registry, Value, Watchdog,
-    WatchdogReport, World, DELTA_POISON_MSG,
+    DeltaBuffer, DeltaSnapshot, FaultInjector, FaultStats, IntrinsicOutcome, Registry, Value,
+    Watchdog, WatchdogReport, World, DELTA_POISON_MSG,
 };
 use commset_sim::lock::AcquireOutcome;
-use commset_sim::{
-    pick_min_clock, CostModel, PopOutcome, PushOutcome, SimLock, SimLockKind, SimQueue, TmModel,
-};
+use commset_sim::{CostModel, PopOutcome, PushOutcome, SimLock, SimLockKind, SimQueue, TmModel};
 use commset_telemetry::{
     ClockUnit, JournalEvent, MetricsRegistry, RunCounters, RunReport, SectionMeta, SpanKind,
     SpanRecord, TelemetrySink,
@@ -93,12 +110,7 @@ struct SimMetrics {
 }
 
 impl SimMetrics {
-    fn retire(
-        &mut self,
-        bc: Option<&crate::bytecode::BcModule>,
-        site: Option<(u32, u32)>,
-        cost: u64,
-    ) {
+    fn retire(&mut self, bc: Option<&BcModule>, site: Option<(u32, u32)>, cost: u64) {
         if self.on {
             if let (Some(bc), Some(site)) = (bc, site) {
                 self.local.retire(bc, site, cost);
@@ -149,6 +161,112 @@ enum WStatus {
     Done,
 }
 
+/// One intrinsic as the DES executes it, decoded once per run.
+struct Decoded<'a> {
+    op: SpecialOp,
+    name: &'a str,
+    sig: &'a EffectSig,
+    /// The world handler; `None` when the registry has none, which panics
+    /// on call exactly as [`Registry::call`] does.
+    handler: Option<&'a Handler>,
+    /// The intrinsic has a declared slot footprint, the precondition for
+    /// a call to delta-route.
+    bound: bool,
+    /// Channel ids read or written, each once in declaration order,
+    /// per-instance channels left out (they never serialize).
+    shared: Vec<usize>,
+    /// The subset of `shared` the intrinsic writes.
+    shared_writes: Vec<usize>,
+}
+
+impl Decoded<'_> {
+    fn call(&self, world: &mut World, args: &[Value]) -> IntrinsicOutcome {
+        match self.handler {
+            Some(h) => h(world, args),
+            None => panic!("no handler for intrinsic `{}`", self.name),
+        }
+    }
+}
+
+/// Run-wide, read-only context: the program, its decoded intrinsics and
+/// the executor configuration.
+struct RunCtx<'a> {
+    module: &'a Module,
+    bc: Option<&'a BcModule>,
+    registry: &'a Registry,
+    cm: &'a CostModel,
+    cfg: &'a ExecConfig,
+    injector: &'a FaultInjector,
+    /// The engine's dispatch factor on program work.
+    factor: u64,
+    /// Indexed by `IntrinsicId`.
+    intrinsics: Vec<Decoded<'a>>,
+    /// `channel_wait.<channel>` metric keys indexed by channel id; empty
+    /// when metrics are off.
+    channel_wait_keys: Vec<String>,
+}
+
+impl<'a> RunCtx<'a> {
+    fn new(
+        module: &'a Module,
+        bc: Option<&'a BcModule>,
+        registry: &'a Registry,
+        cm: &'a CostModel,
+        cfg: &'a ExecConfig,
+        injector: &'a FaultInjector,
+    ) -> Self {
+        let table = &module.intrinsics;
+        // Channel ids of `chans`, each once in order, per-instance ones
+        // left out.
+        let shared = |chans: &[&[ChannelId]]| {
+            let mut out: Vec<usize> = Vec::new();
+            for &c in chans.iter().copied().flatten() {
+                if !table.is_per_instance(c) && !out.contains(&(c.0 as usize)) {
+                    out.push(c.0 as usize);
+                }
+            }
+            out
+        };
+        let intrinsics = table
+            .iter()
+            .map(|(name, sig)| Decoded {
+                op: SpecialOp::decode(name),
+                name,
+                sig,
+                handler: registry.get(name),
+                bound: registry.is_bound(name),
+                shared: shared(&[&sig.reads, &sig.writes]),
+                shared_writes: shared(&[&sig.writes]),
+            })
+            .collect();
+        let channel_wait_keys = if cfg.metrics {
+            (0..table.channels.len())
+                .map(|c| {
+                    let name = table.channels.name(ChannelId(c as u32));
+                    format!("channel_wait.{name}")
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
+        RunCtx {
+            module,
+            bc,
+            registry,
+            cm,
+            cfg,
+            injector,
+            factor: program_cost_factor(cfg.engine, cm),
+            intrinsics,
+            channel_wait_keys,
+        }
+    }
+
+    fn decoded(&self, p: &PendingSpecial) -> &Decoded<'a> {
+        &self.intrinsics[p.intrinsic.0 as usize]
+    }
+}
+
 /// Runs the transformed program under the DES with the default
 /// configuration (no faults, watchdog on).
 ///
@@ -187,7 +305,7 @@ pub fn run_simulated_with(
 ) -> Result<SimOutcome, ExecError> {
     let injector = FaultInjector::new(cfg.fault.clone());
     let bc = prepare_engine(module, cfg.engine);
-    let factor = program_cost_factor(cfg.engine, cm);
+    let ctx = RunCtx::new(module, bc.as_ref(), registry, cm, cfg, &injector);
     let mut globals = PlainGlobals::new(module);
     let mut vm = EngineVm::for_name(module, bc.as_ref(), "main", &[])?;
     let mut sim_time: u64 = 0;
@@ -207,12 +325,12 @@ pub fn run_simulated_with(
         let site = if mx.on { vm.bc_site() } else { None };
         match vm.step(&mut globals)? {
             StepOutcome::Ran { cost } => {
-                sim_time += factor * cost * cm.inst;
+                sim_time += ctx.factor * cost * cm.inst;
                 mx.retire(bc.as_ref(), site, cost);
             }
             StepOutcome::Special(p) => {
-                let name = module.intrinsics.name(p.intrinsic.0 as usize);
-                if name == "__par_invoke" {
+                let d = ctx.decoded(&p);
+                if d.op == SpecialOp::ParInvoke {
                     let section = p.args[0].as_int();
                     let plan = plans
                         .iter()
@@ -233,16 +351,11 @@ pub fn run_simulated_with(
                         });
                     }
                     let (end, section_stats, meta) = run_section(
-                        module,
-                        bc.as_ref(),
-                        registry,
+                        &ctx,
                         plan,
                         world,
                         &mut globals,
                         sim_time,
-                        cm,
-                        cfg,
-                        &injector,
                         &mut telem,
                         &mut mx,
                     )?;
@@ -260,9 +373,8 @@ pub fn run_simulated_with(
                     }
                     vm.resolve_special(Value::Int(0));
                 } else {
-                    let base = module.intrinsics.sig(p.intrinsic.0 as usize).base_cost;
-                    let out = registry.call(name, world, &p.args);
-                    sim_time += factor * (base + out.extra_cost);
+                    let out = d.call(world, &p.args);
+                    sim_time += ctx.factor * (d.sig.base_cost + out.extra_cost);
                     vm.resolve_special(out.value);
                 }
             }
@@ -373,50 +485,88 @@ struct Worker<'m> {
     region_stack: Vec<(String, u64)>,
 }
 
+/// The scheduling decision: among the ready workers, given as
+/// `(index, clock)` in index order, the one with the lowest
+/// `(clock, index)` — the worker the DES advances — and the lowest
+/// `(clock, index)` among the others, its rival. `None` when no worker is
+/// ready.
+fn pick(ready: impl Iterator<Item = (usize, u64)>) -> Option<(usize, Option<(u64, usize)>)> {
+    let mut best: Option<(u64, usize)> = None;
+    let mut rival: Option<(u64, usize)> = None;
+    for (k, clock) in ready {
+        let key = (clock, k);
+        if best.is_none_or(|b| key < b) {
+            rival = best;
+            best = Some(key);
+        } else if rival.is_none_or(|r| key < r) {
+            rival = Some(key);
+        }
+    }
+    best.map(|(_, k)| (k, rival))
+}
+
+/// True while worker `i` at `clock` is still the minimum-`(clock, index)`
+/// ready worker, i.e. nobody has overtaken it: a tie goes to the lower
+/// index, so a running worker that ties a lower-indexed rival yields.
+fn still_first(clock: u64, i: usize, rival: Option<(u64, usize)>) -> bool {
+    rival.is_none_or(|r| (clock, i) < r)
+}
+
+/// The substrate of one parallel section: the contention models and the
+/// per-section lookup tables every special consults.
+struct SectionState {
+    locks: Vec<SimLock>,
+    queues: Vec<SimQueue>,
+    /// Queue id -> index into `queues` (ids may be sparse in principle).
+    queue_index: HashMap<i64, usize>,
+    tm: TmModel,
+    watchdog: Option<Watchdog>,
+    /// Channel id -> tick at which its in-flight writer finishes.
+    channel_free: Vec<u64>,
+    /// One buffer per worker under delta privatization, else empty.
+    delta_bufs: Vec<DeltaBuffer>,
+    /// Lock rank -> elided under delta privatization.
+    elided: Vec<bool>,
+    /// `lock_wait.<set>` metric keys by lock rank (empty when metrics
+    /// are off).
+    lock_wait_keys: Vec<String>,
+    /// `queue_occupancy.<id>` metric keys by queue index (empty when
+    /// metrics are off).
+    queue_keys: Vec<String>,
+}
+
+impl SectionState {
+    fn qidx(&self, args: &[Value]) -> Result<usize, ExecError> {
+        let id = args[0].as_int();
+        self.queue_index
+            .get(&id)
+            .copied()
+            .ok_or(ExecError::UnknownQueue { id })
+    }
+}
+
 /// Executes one parallel section; returns (end time, stats, telemetry
 /// metadata).
-#[allow(clippy::too_many_arguments)]
 fn run_section<'m>(
-    module: &'m Module,
-    bc: Option<&'m crate::bytecode::BcModule>,
-    registry: &Registry,
+    ctx: &RunCtx<'m>,
     plan: &ParallelPlan,
     world: &mut World,
     globals: &mut PlainGlobals,
     start: u64,
-    cm: &CostModel,
-    cfg: &ExecConfig,
-    injector: &FaultInjector,
     telem: &mut SectionTelemetry,
     mx: &mut SimMetrics,
 ) -> Result<(u64, SimStats, Option<SectionMeta>), ExecError> {
+    let (registry, cm, cfg, injector) = (ctx.registry, ctx.cm, ctx.cfg, ctx.injector);
     let lock_kind = match plan.sync {
         SyncMode::Spin => SimLockKind::Spin,
         _ => SimLockKind::Mutex,
     };
-    let mut locks: Vec<SimLock> = plan
-        .locks
-        .iter()
-        .map(|_| {
-            let mut l = SimLock::new(lock_kind);
-            l.free_at = start;
-            l
-        })
-        .collect();
-    // Queue ids may be sparse in principle; map id -> index.
     let mut queue_index: HashMap<i64, usize> = HashMap::new();
     let mut queues: Vec<SimQueue> = Vec::new();
     for q in &plan.queues {
         queue_index.insert(q.id, queues.len());
         queues.push(SimQueue::new(injector.clamp_capacity(q.capacity)));
     }
-    let mut tm = TmModel::new();
-    let watchdog = cfg.watchdog.then(Watchdog::new);
-    // The virtual world is internally thread-safe (the paper's "Lib"
-    // discipline): each intrinsic execution serializes on the channels it
-    // writes, and readers wait for in-flight writers. This is what makes
-    // I/O-channel saturation emerge at high thread counts.
-    let mut channel_free: HashMap<u32, u64> = HashMap::new();
     // Delta privatization: merge-covered calls run against per-worker
     // buffers with no channel serialization at all (the modeled analogue
     // of taking no shard lock); the buffers fold back into the world in
@@ -424,36 +574,77 @@ fn run_section<'m>(
     // present) keep the serialized discipline.
     let delta_on =
         matches!(cfg.world, WorldMode::Deltas) && registry.has_merges() && plan.queues.is_empty();
-    let mut delta_bufs: Vec<DeltaBuffer> = if delta_on {
-        (0..plan.workers.len())
-            .map(|_| DeltaBuffer::new())
-            .collect()
-    } else {
-        Vec::new()
+    let mut sec = SectionState {
+        locks: plan
+            .locks
+            .iter()
+            .map(|_| {
+                let mut l = SimLock::new(lock_kind);
+                l.free_at = start;
+                l
+            })
+            .collect(),
+        queue_index,
+        tm: TmModel::new(),
+        watchdog: cfg.watchdog.then(Watchdog::new),
+        // The virtual world is internally thread-safe (the paper's "Lib"
+        // discipline): each intrinsic execution serializes on the
+        // channels it writes, and readers wait for in-flight writers.
+        // This is what makes I/O-channel saturation emerge at high
+        // thread counts.
+        channel_free: vec![0; ctx.module.intrinsics.channels.len()],
+        delta_bufs: if delta_on {
+            (0..plan.workers.len())
+                .map(|_| DeltaBuffer::new())
+                .collect()
+        } else {
+            Vec::new()
+        },
+        // Static lock elision: a CommSet region lock whose guarded
+        // intrinsics are all delta-covered serializes nothing — every
+        // effect in the region lands in a worker-private buffer,
+        // invisible to siblings until the barrier, and the declared
+        // merges make the coalesce order immaterial. Synthetic locks
+        // (`__reduction`) have no members and are never elided.
+        elided: plan
+            .locks
+            .iter()
+            .map(|ls| {
+                delta_on
+                    && !ls.members.is_empty()
+                    && ls.members.iter().all(|m| registry.delta_covered(m))
+            })
+            .collect(),
+        lock_wait_keys: if mx.on {
+            plan.locks
+                .iter()
+                .map(|l| format!("lock_wait.{}", l.set))
+                .collect()
+        } else {
+            Vec::new()
+        },
+        queue_keys: if mx.on {
+            plan.queues
+                .iter()
+                .map(|q| format!("queue_occupancy.{}", q.id))
+                .collect()
+        } else {
+            Vec::new()
+        },
+        queues,
     };
-    // Static lock elision: a CommSet region lock whose guarded intrinsics
-    // are all delta-covered serializes nothing — every effect in the
-    // region lands in a worker-private buffer, invisible to siblings
-    // until the barrier, and the declared merges make the coalesce order
-    // immaterial. Synthetic locks (`__reduction`) have no members and are
-    // never elided.
-    let elided: Vec<bool> = plan
-        .locks
-        .iter()
-        .map(|ls| {
-            delta_on
-                && !ls.members.is_empty()
-                && ls.members.iter().all(|m| registry.delta_covered(m))
-        })
-        .collect();
 
-    let factor = program_cost_factor(cfg.engine, cm);
     let spawn_t = start + cm.par_spawn;
+    let watch = cfg.trace.is_some() || telem.on;
     let mut workers: Vec<Worker<'m>> = Vec::with_capacity(plan.workers.len());
     for w in &plan.workers {
-        let mut vm =
-            EngineVm::for_name(module, bc, &w.func, &[Value::Int(w.tid), Value::Int(w.nt)])?;
-        if cfg.trace.is_some() || telem.on {
+        let mut vm = EngineVm::for_name(
+            ctx.module,
+            ctx.bc,
+            &w.func,
+            &[Value::Int(w.tid), Value::Int(w.nt)],
+        )?;
+        if watch {
             vm.watch_calls_matching("__commset_region_");
         }
         workers.push(Worker {
@@ -471,9 +662,12 @@ fn run_section<'m>(
     }
 
     loop {
-        let clocks: Vec<u64> = workers.iter().map(|w| w.clock).collect();
-        let runnable: Vec<bool> = workers.iter().map(|w| w.status == WStatus::Ready).collect();
-        let Some(i) = pick_min_clock(&clocks, &runnable) else {
+        let ready = workers
+            .iter()
+            .enumerate()
+            .filter(|(_, w)| w.status == WStatus::Ready)
+            .map(|(k, w)| (k, w.clock));
+        let Some((i, rival)) = pick(ready) else {
             if workers.iter().all(|w| w.status == WStatus::Done) {
                 break;
             }
@@ -493,62 +687,50 @@ fn run_section<'m>(
                     .collect(),
             });
         };
-        // Deterministic deadline: once the earliest runnable worker's
-        // clock is past the section's tick budget, the section has
-        // overrun under *every* schedule of the model — report the
-        // overrun instead of scheduling further work.
-        if let Some(ms) = cfg.deadline_ms {
-            if workers[i].clock.saturating_sub(start) > ms.saturating_mul(TICKS_PER_MS) {
-                return Err(ExecError::DeadlineExceeded {
-                    section: plan.section,
-                    deadline_ms: ms,
-                });
+        // Run worker i until it finishes, executes a special, or is
+        // overtaken by its rival.
+        loop {
+            // Deterministic deadline: once the earliest ready worker's
+            // clock is past the section's tick budget, the section has
+            // overrun under *every* schedule of the model — report the
+            // overrun instead of scheduling further work.
+            if let Some(ms) = cfg.deadline_ms {
+                if workers[i].clock.saturating_sub(start) > ms.saturating_mul(TICKS_PER_MS) {
+                    return Err(ExecError::DeadlineExceeded {
+                        section: plan.section,
+                        deadline_ms: ms,
+                    });
+                }
             }
-        }
-        // Step worker i until it blocks, finishes, or completes one special.
-        let site = if mx.on { workers[i].vm.bc_site() } else { None };
-        let step = workers[i]
-            .vm
-            .step(globals)
-            .map_err(|e| ExecError::WorkerFailed {
-                stage: plan.workers[i].func.clone(),
-                cause: e.to_string(),
-            })?;
-        match step {
-            StepOutcome::Ran { cost } => {
-                workers[i].clock += factor * cost * cm.inst;
-                mx.retire(bc, site, cost);
+            let site = if mx.on { workers[i].vm.bc_site() } else { None };
+            let step = workers[i]
+                .vm
+                .step(globals)
+                .map_err(|e| ExecError::WorkerFailed {
+                    stage: plan.workers[i].func.clone(),
+                    cause: e.to_string(),
+                })?;
+            let repick = match step {
+                StepOutcome::Ran { cost } => {
+                    workers[i].clock += ctx.factor * cost * cm.inst;
+                    mx.retire(ctx.bc, site, cost);
+                    false
+                }
+                StepOutcome::Finished(_) => {
+                    workers[i].status = WStatus::Done;
+                    true
+                }
+                StepOutcome::Special(p) => {
+                    handle_special(ctx, &mut sec, world, plan, &mut workers, i, &p, telem, mx)?;
+                    true
+                }
+            };
+            if watch {
+                drain_region_events(cfg.trace.as_ref(), telem, i, &mut workers[i]);
             }
-            StepOutcome::Finished(_) => {
-                workers[i].status = WStatus::Done;
+            if repick || !still_first(workers[i].clock, i, rival) {
+                break;
             }
-            StepOutcome::Special(p) => {
-                handle_special(
-                    module,
-                    registry,
-                    world,
-                    plan,
-                    &mut workers,
-                    i,
-                    &p,
-                    &mut locks,
-                    &mut queues,
-                    &queue_index,
-                    &mut tm,
-                    &mut channel_free,
-                    &mut delta_bufs,
-                    &elided,
-                    cm,
-                    cfg,
-                    injector,
-                    watchdog.as_ref(),
-                    telem,
-                    mx,
-                )?;
-            }
-        }
-        if cfg.trace.is_some() || telem.on {
-            drain_region_events(cfg.trace.as_ref(), telem, i, &mut workers[i]);
         }
     }
 
@@ -557,7 +739,7 @@ fn run_section<'m>(
     // DES has no panic containment, so an injected poison surfaces as the
     // same structured error the thread executor's containment produces.
     let mut delta = DeltaSnapshot::default();
-    for buf in delta_bufs.drain(..) {
+    for buf in sec.delta_bufs.drain(..) {
         delta.lock_elisions += buf.lock_elisions;
         if buf.is_empty() {
             continue;
@@ -607,7 +789,7 @@ fn run_section<'m>(
             queues: plan.queues.iter().map(|q| (q.id, q.what.clone())).collect(),
             // The DES has no SPSC rings: empty-pop counts stand in for
             // empty spins, the full side has no modeled counter.
-            queue_spins: queues.iter().map(|q| (0, q.empty_pops)).collect(),
+            queue_spins: sec.queues.iter().map(|q| (0, q.empty_pops)).collect(),
             span: (start, end),
         })
     } else {
@@ -617,16 +799,16 @@ fn run_section<'m>(
         lock_contention: plan
             .locks
             .iter()
-            .zip(&locks)
+            .zip(&sec.locks)
             .map(|(spec, l)| (spec.set.clone(), l.contention_ratio()))
             .collect(),
-        tm_commits: tm.commits,
-        tm_aborts: tm.aborts,
-        tm_fallbacks: tm.fallbacks,
-        queue_pushes: queues.iter().map(|q| q.pushes).sum(),
-        queue_stalls: queues.iter().map(|q| q.empty_pops).sum(),
+        tm_commits: sec.tm.commits,
+        tm_aborts: sec.tm.aborts,
+        tm_fallbacks: sec.tm.fallbacks,
+        queue_pushes: sec.queues.iter().map(|q| q.pushes).sum(),
+        queue_stalls: sec.queues.iter().map(|q| q.empty_pops).sum(),
         fault: FaultStats::default(),
-        watchdog: watchdog.map(|wd| wd.report()).unwrap_or_default(),
+        watchdog: sec.watchdog.map(|wd| wd.report()).unwrap_or_default(),
         delta,
     };
     Ok((end, stats, meta))
@@ -665,49 +847,30 @@ fn drain_region_events(
 
 #[allow(clippy::too_many_arguments)]
 fn handle_special(
-    module: &Module,
-    registry: &Registry,
+    ctx: &RunCtx<'_>,
+    sec: &mut SectionState,
     world: &mut World,
     plan: &ParallelPlan,
     workers: &mut [Worker<'_>],
     i: usize,
     p: &PendingSpecial,
-    locks: &mut [SimLock],
-    queues: &mut [SimQueue],
-    queue_index: &HashMap<i64, usize>,
-    tm: &mut TmModel,
-    channel_free: &mut HashMap<u32, u64>,
-    delta_bufs: &mut [DeltaBuffer],
-    elided: &[bool],
-    cm: &CostModel,
-    cfg: &ExecConfig,
-    injector: &FaultInjector,
-    watchdog: Option<&Watchdog>,
     telem: &mut SectionTelemetry,
     mx: &mut SimMetrics,
 ) -> Result<(), ExecError> {
-    // Borrowed, not cloned: this runs once per special, on the hot path.
-    let name = module.intrinsics.name(p.intrinsic.0 as usize);
-    let factor = program_cost_factor(cfg.engine, cm);
-    let qidx = |args: &[Value]| -> Result<usize, ExecError> {
-        let id = args[0].as_int();
-        queue_index
-            .get(&id)
-            .copied()
-            .ok_or(ExecError::UnknownQueue { id })
-    };
+    let (cm, cfg, injector, factor) = (ctx.cm, ctx.cfg, ctx.injector, ctx.factor);
+    let d = ctx.decoded(p);
     // A stalled worker pauses at its synchronization events; a slow
     // worker pays its drag at every one of them.
     let stall =
         injector.worker_stall(plan.workers[i].tid) + injector.slow_worker(plan.workers[i].tid);
     workers[i].clock += stall;
-    match name {
-        "__lock_acquire" => {
+    match d.op {
+        SpecialOp::LockAcquire => {
             let l = p.args[0].as_int() as usize;
-            if elided.get(l).copied().unwrap_or(false) {
+            if sec.elided.get(l).copied().unwrap_or(false) {
                 // Delta privatization covers everything this lock guards:
                 // grant immediately with no lock state touched.
-                if let Some(buf) = delta_bufs.get_mut(i) {
+                if let Some(buf) = sec.delta_bufs.get_mut(i) {
                     buf.lock_elisions += 1;
                 }
                 workers[i].vm.resolve_special(Value::Int(0));
@@ -715,16 +878,16 @@ fn handle_special(
             }
             let t = workers[i].clock;
             let was_blocked = workers[i].lock_retry;
-            if let Some(wd) = watchdog {
+            if let Some(wd) = &sec.watchdog {
                 wd.acquiring(i, l);
             }
-            match locks[l].try_acquire(t, was_blocked, cm) {
+            match sec.locks[l].try_acquire(t, was_blocked, cm) {
                 AcquireOutcome::Granted(grant) => {
                     if was_blocked {
-                        locks[l].pending = locks[l].pending.saturating_sub(1);
+                        sec.locks[l].pending = sec.locks[l].pending.saturating_sub(1);
                         workers[i].lock_retry = false;
                     }
-                    if let Some(wd) = watchdog {
+                    if let Some(wd) = &sec.watchdog {
                         wd.acquired(i, l);
                     }
                     let wait_from = workers[i].block_start.take().unwrap_or(t);
@@ -733,10 +896,7 @@ fn handle_special(
                             telem.span(i, wait_from, grant, SpanKind::LockWait { rank: l });
                         }
                         if mx.on {
-                            mx.observe(
-                                &format!("lock_wait.{}", plan.locks[l].set),
-                                grant - wait_from,
-                            );
+                            mx.observe(&sec.lock_wait_keys[l], grant - wait_from);
                         }
                     }
                     workers[i].clock = grant + injector.lock_grant_delay();
@@ -751,7 +911,7 @@ fn handle_special(
                 }
                 AcquireOutcome::Held => {
                     if !was_blocked {
-                        locks[l].pending += 1;
+                        sec.locks[l].pending += 1;
                         workers[i].lock_retry = true;
                         if telem.on || mx.on {
                             workers[i].block_start = Some(t);
@@ -762,9 +922,9 @@ fn handle_special(
                 }
             }
         }
-        "__lock_release" => {
+        SpecialOp::LockRelease => {
             let l = p.args[0].as_int() as usize;
-            if elided.get(l).copied().unwrap_or(false) {
+            if sec.elided.get(l).copied().unwrap_or(false) {
                 workers[i].vm.resolve_special(Value::Int(0));
                 return Ok(());
             }
@@ -774,8 +934,8 @@ fn handle_special(
                     telem.span(i, t0, t, SpanKind::LockHold { rank: l });
                 }
             }
-            workers[i].clock = locks[l].release(t, cm);
-            if let Some(wd) = watchdog {
+            workers[i].clock = sec.locks[l].release(t, cm);
+            if let Some(wd) = &sec.watchdog {
                 wd.released(i, l);
             }
             workers[i].vm.resolve_special(Value::Int(0));
@@ -790,36 +950,27 @@ fn handle_special(
                 }
             }
         }
-        "__q_push" | "__q_push_f" => {
-            let q = qidx(&p.args)?;
+        SpecialOp::QueuePush => {
+            let q = sec.qidx(&p.args)?;
             let bits = p.args[1].to_bits();
             workers[i].clock += injector.queue_stall_delay();
             let attempt = workers[i].clock;
-            match queues[q].push(workers[i].clock, bits, cm) {
+            match sec.queues[q].push(workers[i].clock, bits, cm) {
                 PushOutcome::Pushed(t) => {
                     workers[i].clock = t;
+                    let qid = p.args[0].as_int();
                     if telem.on {
-                        let qid = p.args[0].as_int();
                         if let Some(bs) = workers[i].block_start.take() {
                             telem.span(i, bs, attempt, SpanKind::QueuePushWait { queue: qid });
                         }
                         telem.span(i, t, t, SpanKind::QueuePush { queue: qid });
                     }
                     if mx.on {
-                        mx.observe(
-                            &format!("queue_occupancy.{}", p.args[0].as_int()),
-                            queues[q].len() as u64,
-                        );
+                        mx.observe(&sec.queue_keys[q], sec.queues[q].len() as u64);
                     }
                     workers[i].vm.resolve_special(Value::Int(0));
                     if let Some(tr) = &cfg.trace {
-                        tr.record(
-                            i,
-                            workers[i].clock,
-                            TraceEvent::QueuePush {
-                                queue: p.args[0].as_int(),
-                            },
-                        );
+                        tr.record(i, workers[i].clock, TraceEvent::QueuePush { queue: qid });
                     }
                     // Wake a consumer blocked on this queue.
                     for w in workers.iter_mut() {
@@ -837,36 +988,26 @@ fn handle_special(
                 }
             }
         }
-        "__q_pop" | "__q_pop_f" => {
-            let q = qidx(&p.args)?;
+        SpecialOp::QueuePop { float } => {
+            let q = sec.qidx(&p.args)?;
             workers[i].clock += injector.queue_stall_delay();
             let attempt = workers[i].clock;
-            match queues[q].pop(workers[i].clock, cm) {
+            match sec.queues[q].pop(workers[i].clock, cm) {
                 PopOutcome::Popped(bits, t) => {
                     workers[i].clock = t;
+                    let qid = p.args[0].as_int();
                     if telem.on {
-                        let qid = p.args[0].as_int();
                         if let Some(bs) = workers[i].block_start.take() {
                             telem.span(i, bs, attempt, SpanKind::QueuePopWait { queue: qid });
                         }
                         telem.span(i, t, t, SpanKind::QueuePop { queue: qid });
                     }
                     if mx.on {
-                        mx.observe(
-                            &format!("queue_occupancy.{}", p.args[0].as_int()),
-                            queues[q].len() as u64,
-                        );
+                        mx.observe(&sec.queue_keys[q], sec.queues[q].len() as u64);
                     }
-                    let v = Value::from_bits(bits, name == "__q_pop_f");
-                    workers[i].vm.resolve_special(v);
+                    workers[i].vm.resolve_special(Value::from_bits(bits, float));
                     if let Some(tr) = &cfg.trace {
-                        tr.record(
-                            i,
-                            workers[i].clock,
-                            TraceEvent::QueuePop {
-                                queue: p.args[0].as_int(),
-                            },
-                        );
+                        tr.record(i, workers[i].clock, TraceEvent::QueuePop { queue: qid });
                     }
                     for w in workers.iter_mut() {
                         if w.status == WStatus::BlockedPush(q) {
@@ -883,15 +1024,15 @@ fn handle_special(
                 }
             }
         }
-        "__tx_begin" => {
+        SpecialOp::TxBegin => {
             let t = workers[i].clock;
             workers[i].clock = t + cm.tx_begin;
-            workers[i].tx = Some(tm.begin(t, cm));
+            workers[i].tx = Some(sec.tm.begin(t, cm));
             workers[i].tx_aborts = 0;
             workers[i].tx_begin_t = t;
             workers[i].vm.resolve_special(Value::Int(0));
         }
-        "__tx_commit" => {
+        SpecialOp::TxCommit => {
             let mut tx = workers[i]
                 .tx
                 .take()
@@ -901,13 +1042,13 @@ fn handle_special(
                 // A starving transaction escalates to the modeled rank-0
                 // global lock: pessimistic but guaranteed to commit.
                 if workers[i].tx_aborts > u64::from(cfg.backoff.max_aborts) {
-                    workers[i].clock = tm.commit_pessimistic(&tx, t, cm);
+                    workers[i].clock = sec.tm.commit_pessimistic(&tx, t, cm);
                     break;
                 }
                 let outcome = if injector.force_stm_abort() {
-                    Err(tm.forced_abort(&tx, t, cm))
+                    Err(sec.tm.forced_abort(&tx, t, cm))
                 } else {
-                    tm.commit(&tx, t, cm)
+                    sec.tm.commit(&tx, t, cm)
                 };
                 match outcome {
                     Ok(done) => {
@@ -934,19 +1075,18 @@ fn handle_special(
             workers[i].tx_aborts = 0;
             workers[i].vm.resolve_special(Value::Int(0));
         }
-        "__par_invoke" => return Err(ExecError::NestedParallelSection),
-        _ => {
+        SpecialOp::ParInvoke => return Err(ExecError::NestedParallelSection),
+        SpecialOp::World => {
             // Ordinary world intrinsic: readers wait for in-flight writers
             // of their channels, and the execution holds its write channels
             // for its duration (the internally-thread-safe world).
-            let sig = module.intrinsics.sig(p.intrinsic.0 as usize);
-            let base = sig.base_cost;
+            let base = d.sig.base_cost;
             // Delta fast path: a merge-covered call runs against the
             // worker-private buffer with no channel serialization — the
             // whole cost overlaps across cores.
-            if !delta_bufs.is_empty() {
-                if let Some(slots) = registry.delta_route(name, &p.args) {
-                    let out = delta_bufs[i].apply(registry, name, &p.args, &slots);
+            if !sec.delta_bufs.is_empty() && d.bound {
+                if let Some(slots) = ctx.registry.delta_route(d.name, &p.args) {
+                    let out = sec.delta_bufs[i].apply(ctx.registry, d.name, &p.args, &slots);
                     let done = workers[i].clock + factor * (base + out.extra_cost);
                     if telem.on {
                         telem.span(
@@ -954,7 +1094,7 @@ fn handle_special(
                             workers[i].clock,
                             done,
                             SpanKind::WorldCall {
-                                intrinsic: name.to_string(),
+                                intrinsic: d.name.to_string(),
                             },
                         );
                     }
@@ -964,7 +1104,7 @@ fn handle_special(
                             i,
                             done,
                             TraceEvent::WorldCall {
-                                intrinsic: name.to_string(),
+                                intrinsic: d.name.to_string(),
                                 args: p.args.clone(),
                             },
                         );
@@ -973,7 +1113,7 @@ fn handle_special(
                     return Ok(());
                 }
             }
-            let out = registry.call(name, world, &p.args);
+            let out = d.call(world, &p.args);
             let raw = base + out.extra_cost;
             // Application work executed by the engine pays the engine's
             // dispatch factor; the serialized/parallel split keeps its
@@ -981,46 +1121,33 @@ fn handle_special(
             let cost = factor * raw;
             // Private compute overlaps across cores; only the serialized
             // portion holds the intrinsic's write channels (readers wait
-            // for in-flight writers).
+            // for in-flight writers). Instance-partitioned channels hold
+            // per-instance state and never serialize across workers
+            // (each instance is its own cache lines), so `shared` leaves
+            // them out.
             let ser = (factor * out.serialized_cost.unwrap_or(raw)).min(cost);
             let par = cost - ser;
-            let mut start = workers[i].clock + par;
-            let base_start = start;
-            // Instance-partitioned channels hold per-instance state: their
-            // accesses do not serialize across workers (each instance is
-            // its own cache lines).
-            for c in sig.reads.iter().chain(&sig.writes) {
-                if module.intrinsics.is_per_instance(*c) {
-                    continue;
-                }
-                start = start.max(channel_free.get(&c.0).copied().unwrap_or(0));
-            }
+            let base_start = workers[i].clock + par;
+            let start = d
+                .shared
+                .iter()
+                .map(|&c| sec.channel_free[c])
+                .fold(base_start, u64::max);
             // Per-channel contention attribution: how long each serialized
             // channel alone would have delayed this call past its ready
             // point (passive — `start` is already settled above).
             if mx.on && start > base_start {
-                let mut seen: Vec<u32> = Vec::new();
-                for c in sig.reads.iter().chain(&sig.writes) {
-                    if module.intrinsics.is_per_instance(*c) || seen.contains(&c.0) {
-                        continue;
-                    }
-                    seen.push(c.0);
-                    let free = channel_free.get(&c.0).copied().unwrap_or(0);
+                for &c in &d.shared {
+                    let free = sec.channel_free[c];
                     if free > base_start {
-                        mx.observe(
-                            &format!("channel_wait.{}", module.intrinsics.channels.name(*c)),
-                            free - base_start,
-                        );
+                        mx.observe(&ctx.channel_wait_keys[c], free - base_start);
                     }
                 }
             }
             let done = start + ser;
             if ser > 0 {
-                for c in &sig.writes {
-                    if module.intrinsics.is_per_instance(*c) {
-                        continue;
-                    }
-                    channel_free.insert(c.0, done);
+                for &c in &d.shared_writes {
+                    sec.channel_free[c] = done;
                 }
             }
             if telem.on {
@@ -1029,7 +1156,7 @@ fn handle_special(
                     workers[i].clock,
                     done,
                     SpanKind::WorldCall {
-                        intrinsic: name.to_string(),
+                        intrinsic: d.name.to_string(),
                     },
                 );
             }
@@ -1039,20 +1166,19 @@ fn handle_special(
                     i,
                     done,
                     TraceEvent::WorldCall {
-                        intrinsic: name.to_string(),
+                        intrinsic: d.name.to_string(),
                         args: p.args.clone(),
                     },
                 );
             }
             if let Some(tx) = &mut workers[i].tx {
+                let channels = &ctx.module.intrinsics.channels;
                 tx.work += cost;
-                for c in &sig.reads {
-                    tx.reads
-                        .insert(module.intrinsics.channels.name(*c).to_string());
+                for c in &d.sig.reads {
+                    tx.reads.insert(channels.name(*c).to_string());
                 }
-                for c in &sig.writes {
-                    tx.writes
-                        .insert(module.intrinsics.channels.name(*c).to_string());
+                for c in &d.sig.writes {
+                    tx.writes.insert(channels.name(*c).to_string());
                 }
             }
             workers[i].vm.resolve_special(out.value);
@@ -1492,5 +1618,39 @@ mod tests {
         // Capacity-1 queues force the producer into the full-queue path.
         assert!(out.stats.queue_pushes >= 40);
         assert!(out.stats.watchdog.is_clean());
+    }
+
+    #[test]
+    fn pick_takes_the_min_clock_ready_worker() {
+        let ready = |v: &[(usize, u64)]| pick(v.iter().copied());
+        // Clocks 50, 10, 30: worker 1 runs, worker 2 is its rival.
+        assert_eq!(
+            ready(&[(0, 50), (1, 10), (2, 30)]),
+            Some((1, Some((30, 2))))
+        );
+        // Worker 1 blocked: worker 2 runs, worker 0 is its rival.
+        assert_eq!(ready(&[(0, 50), (2, 30)]), Some((2, Some((50, 0)))));
+        assert_eq!(ready(&[(2, 30)]), Some((2, None)));
+        assert_eq!(ready(&[]), None);
+    }
+
+    #[test]
+    fn ties_go_to_the_lower_index_and_a_tying_runner_yields() {
+        // Equal clocks: the lowest index runs, the next one is its rival.
+        let (i, rival) = pick([(0, 5), (1, 5), (2, 5)].into_iter()).unwrap();
+        assert_eq!((i, rival), (0, Some((5, 1))));
+        // Worker 0 keeps running through the tie at 5 (it is the lower
+        // index) and is overtaken only once its clock passes 5.
+        assert!(still_first(5, 0, rival));
+        assert!(!still_first(6, 0, rival));
+        // A running worker that reaches the clock of a lower-indexed
+        // rival yields to it, exactly as a fresh pick would.
+        let (i, rival) = pick([(0, 9), (1, 4)].into_iter()).unwrap();
+        assert_eq!((i, rival), (1, Some((9, 0))));
+        assert!(still_first(8, 1, rival));
+        assert!(!still_first(9, 1, rival));
+        assert_eq!(pick([(0, 9), (1, 9)].into_iter()).unwrap().0, 0);
+        // Alone, a worker is never overtaken.
+        assert!(still_first(u64::MAX, 3, None));
     }
 }

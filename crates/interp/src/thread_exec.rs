@@ -20,6 +20,7 @@ use crate::engine::{prepare_engine, EngineVm};
 use crate::error::ExecError;
 use crate::globals::{AtomicGlobals, SharedGlobals};
 use crate::metrics::MetricsLocal;
+use crate::special::SpecialOp;
 use crate::trace::{TraceEvent, TraceSink};
 use crate::vm::StepOutcome;
 use commset_ir::Module;
@@ -177,6 +178,7 @@ pub fn run_threaded_with(
     let world = WorldStore::new(world, cfg.world, registry);
     let mut globals = SharedGlobals::new(Arc::clone(&shared_globals));
     let mut vm = EngineVm::for_name(module, bc.as_ref(), "main", &[])?;
+    let ops = SpecialOp::decode_table(&module.intrinsics);
     let mut stats = ThreadStats::default();
     let sink = cfg.telemetry.then(TelemetrySink::new);
     let msink = cfg.metrics.then(MetricsSink::new);
@@ -195,7 +197,8 @@ pub fn run_threaded_with(
             }
             StepOutcome::Special(p) => {
                 let name = module.intrinsics.name(p.intrinsic.0 as usize);
-                if name == "__par_invoke" {
+                let op = ops[p.intrinsic.0 as usize];
+                if op == SpecialOp::ParInvoke {
                     let section = p.args[0].as_int();
                     let plan = plans
                         .iter()
@@ -214,6 +217,7 @@ pub fn run_threaded_with(
                     let section_out = run_section(
                         module,
                         bc.as_ref(),
+                        &ops,
                         registry,
                         plan,
                         &shared_globals,
@@ -240,10 +244,7 @@ pub fn run_threaded_with(
                         metas.push(m);
                     }
                     vm.resolve_special(Value::Int(0));
-                } else if name.starts_with("__lock")
-                    || name.starts_with("__q_")
-                    || name.starts_with("__tx")
-                {
+                } else if op.is_runtime() {
                     // Synchronization intrinsics outside a section are a
                     // transform bug, not something to forward to the world.
                     return Err(ExecError::ParallelIntrinsicInSequential {
@@ -344,6 +345,8 @@ struct SectionCtx<'a> {
     /// Compiled bytecode when the run's engine is the compiled backend;
     /// `None` runs workers on the tree-walk VM.
     bc: Option<&'a crate::bytecode::BcModule>,
+    /// The decoded intrinsics, indexed by `IntrinsicId`.
+    ops: &'a [SpecialOp],
     registry: &'a Registry,
     world: &'a WorldStore,
     locks: &'a [RawLock],
@@ -406,6 +409,7 @@ struct SectionOutcome {
 fn run_section(
     module: &Module,
     bc: Option<&crate::bytecode::BcModule>,
+    ops: &[SpecialOp],
     registry: &Registry,
     plan: &ParallelPlan,
     shared_globals: &Arc<AtomicGlobals>,
@@ -453,6 +457,7 @@ fn run_section(
     let ctx = SectionCtx {
         module,
         bc,
+        ops,
         registry,
         world,
         locks: &locks,
@@ -850,8 +855,8 @@ fn worker_loop(
                 if stall > 0 {
                     std::thread::sleep(Duration::from_micros(stall));
                 }
-                match name {
-                    "__lock_acquire" => {
+                match ctx.ops[p.intrinsic.0 as usize] {
+                    SpecialOp::LockAcquire => {
                         let l = p.args[0].as_int() as usize;
                         if ctx.elided.get(l).copied().unwrap_or(false) {
                             // Delta privatization covers everything this
@@ -903,7 +908,7 @@ fn worker_loop(
                             tr.record(widx, now(), TraceEvent::LockAcquire { lock: l });
                         }
                     }
-                    "__lock_release" => {
+                    SpecialOp::LockRelease => {
                         let l = p.args[0].as_int() as usize;
                         if ctx.elided.get(l).copied().unwrap_or(false) {
                             vm.resolve_special(Value::Int(0));
@@ -923,7 +928,7 @@ fn worker_loop(
                             tr.record(widx, now(), TraceEvent::LockRelease { lock: l });
                         }
                     }
-                    "__q_push" | "__q_push_f" => {
+                    SpecialOp::QueuePush => {
                         let id = p.args[0].as_int();
                         let q = *ctx
                             .queue_index
@@ -961,7 +966,7 @@ fn worker_loop(
                             tr.record(widx, now(), TraceEvent::QueuePush { queue: id });
                         }
                     }
-                    "__q_pop" | "__q_pop_f" => {
+                    SpecialOp::QueuePop { float } => {
                         let id = p.args[0].as_int();
                         let q = *ctx
                             .queue_index
@@ -1009,12 +1014,12 @@ fn worker_loop(
                                 ctx.queues[q].len() as u64,
                             );
                         }
-                        vm.resolve_special(Value::from_bits(bits, name == "__q_pop_f"));
+                        vm.resolve_special(Value::from_bits(bits, float));
                         if let Some(tr) = ctx.trace {
                             tr.record(widx, now(), TraceEvent::QueuePop { queue: id });
                         }
                     }
-                    "__tx_begin" => {
+                    SpecialOp::TxBegin => {
                         // Blocking wait ahead: publish staged values first.
                         if !flush_staged(ctx, &mut staged) {
                             return Err(canceled());
@@ -1028,7 +1033,7 @@ fn worker_loop(
                         in_tx = true;
                         vm.resolve_special(Value::Int(0));
                     }
-                    "__tx_commit" => {
+                    SpecialOp::TxCommit => {
                         if !in_tx {
                             return Err(ExecError::TxCommitWithoutBegin);
                         }
@@ -1044,8 +1049,8 @@ fn worker_loop(
                         in_tx = false;
                         vm.resolve_special(Value::Int(0));
                     }
-                    "__par_invoke" => return Err(ExecError::NestedParallelSection),
-                    _ => {
+                    SpecialOp::ParInvoke => return Err(ExecError::NestedParallelSection),
+                    SpecialOp::World => {
                         // Delta fast path: a call whose entire slot
                         // footprint is merge-declared runs against the
                         // worker-private buffer — no shard lock, no STM.

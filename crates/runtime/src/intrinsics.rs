@@ -139,6 +139,13 @@ impl Registry {
         self.bindings.insert(name.to_string(), bindings);
     }
 
+    /// True when `name` has a declared slot footprint (possibly empty) —
+    /// the precondition for [`Registry::route`] to return anything but
+    /// [`Route::Whole`], and so for [`Registry::delta_route`] to succeed.
+    pub fn is_bound(&self, name: &str) -> bool {
+        self.bindings.contains_key(name)
+    }
+
     /// True when at least one intrinsic has a declared slot footprint —
     /// the signal the executor uses to pick the sharded world by default.
     pub fn has_bindings(&self) -> bool {
@@ -313,6 +320,7 @@ mod tests {
             ],
         );
         assert!(reg.has_bindings());
+        assert!(reg.is_bound("pure") && !reg.is_bound("unbound"));
         assert_eq!(reg.route("pure", &[]), Route::Slots(vec![]));
         assert_eq!(
             reg.route("fixed", &[]),

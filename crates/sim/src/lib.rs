@@ -24,11 +24,9 @@
 pub mod cost;
 pub mod lock;
 pub mod queue;
-pub mod sched;
 pub mod tm;
 
 pub use cost::CostModel;
 pub use lock::{SimLock, SimLockKind};
 pub use queue::{PopOutcome, PushOutcome, SimQueue};
-pub use sched::pick_min_clock;
 pub use tm::TmModel;
