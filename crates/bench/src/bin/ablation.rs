@@ -12,6 +12,7 @@
 //! Run: `cargo run -p commset-bench --bin ablation`
 
 use commset::{Compiler, SyncMode};
+use commset_bench::write_report;
 use commset_interp::{run_sequential, run_simulated};
 use commset_ir::IntrinsicTable;
 use commset_lang::ast::Type;
@@ -20,6 +21,8 @@ use commset_runtime::{Registry, World};
 use commset_sim::CostModel;
 use commset_transform::doall::apply_doall_scheduled;
 use commset_transform::plan::IterSchedule;
+use std::io::Write;
+use std::process::ExitCode;
 
 /// Skewed workload: iteration `i` costs ~`i` units — the worst case for
 /// blocked scheduling.
@@ -49,8 +52,11 @@ fn skewed_setup() -> (IntrinsicTable, Registry) {
     (t, r)
 }
 
-fn schedule_ablation() {
-    println!("=== 1. DOALL iteration scheduling (skewed per-iteration cost) ===");
+fn schedule_ablation(report: &mut dyn Write) -> std::io::Result<()> {
+    writeln!(
+        report,
+        "=== 1. DOALL iteration scheduling (skewed per-iteration cost) ==="
+    )?;
     let (table, registry) = skewed_setup();
     let compiler = Compiler::new(table);
     let a = compiler.analyze(SKEWED).expect("analyzes");
@@ -59,7 +65,7 @@ fn schedule_ablation() {
     let mut w = World::new();
     w.install("acc", 0i64);
     let seq = run_sequential(&seq_module, &registry, &mut w, &cm, "main").expect("baseline runs");
-    println!("   threads   cyclic  blocked");
+    writeln!(report, "   threads   cyclic  blocked")?;
     for threads in [2, 4, 8] {
         let mut row = format!("   {threads:>7}");
         for schedule in [IterSchedule::Cyclic, IterSchedule::Blocked] {
@@ -87,14 +93,23 @@ fn schedule_ablation() {
                 seq.sim_time as f64 / out.sim_time as f64
             ));
         }
-        println!("{row}");
+        writeln!(report, "{row}")?;
     }
-    println!("   (cyclic interleaves the ramp across workers; blocked hands the");
-    println!("    heavy tail to the last worker — the default is cyclic)\n");
+    writeln!(
+        report,
+        "   (cyclic interleaves the ramp across workers; blocked hands the"
+    )?;
+    writeln!(
+        report,
+        "    heavy tail to the last worker — the default is cyclic)\n"
+    )
 }
 
-fn estimator_ablation() {
-    println!("=== 2. Estimator-selected schedule vs simulated best ===");
+fn estimator_ablation(report: &mut dyn Write) -> std::io::Result<()> {
+    writeln!(
+        report,
+        "=== 2. Estimator-selected schedule vs simulated best ==="
+    )?;
     let cm = CostModel::default();
     let mut agree_top2 = 0;
     let mut total = 0;
@@ -130,26 +145,33 @@ fn estimator_ablation() {
         let hit = top2.contains(&&true_best);
         total += 1;
         agree_top2 += usize::from(hit);
-        println!(
+        writeln!(
+            report,
             "   {:<10} estimator: {:<16} simulated best: {:<16} {}",
             w.name,
             est_pick,
             true_best,
             if hit { "(top-2 hit)" } else { "(miss)" }
-        );
+        )?;
     }
-    println!("   estimator's top-2 contains the simulated best on {agree_top2}/{total} programs\n");
+    writeln!(
+        report,
+        "   estimator's top-2 contains the simulated best on {agree_top2}/{total} programs\n"
+    )
 }
 
-fn sensitivity_ablation() {
-    println!("=== 3. Cost-model sensitivity: kmeans spin degradation ===");
+fn sensitivity_ablation(report: &mut dyn Write) -> std::io::Result<()> {
+    writeln!(
+        report,
+        "=== 3. Cost-model sensitivity: kmeans spin degradation ==="
+    )?;
     let w = commset_workloads::kmeans::workload();
     let spin = w
         .schemes
         .iter()
         .find(|s| s.label.contains("Spin"))
         .expect("spin series");
-    println!("   spin_contended   s@5    s@8   degrades past 5?");
+    writeln!(report, "   spin_contended   s@5    s@8   degrades past 5?")?;
     for factor in [0u64, 6, 12, 24, 48] {
         let cm = CostModel {
             spin_contended: factor,
@@ -157,20 +179,26 @@ fn sensitivity_ablation() {
         };
         let s5 = w.speedup(spin, 5, &cm).unwrap();
         let s8 = w.speedup(spin, 8, &cm).unwrap();
-        println!(
+        writeln!(
+            report,
             "   {:>14} {:6.2} {:6.2}   {}",
             factor,
             s5,
             s8,
             if s8 < s5 { "yes" } else { "no" }
-        );
+        )?;
     }
-    println!("   (the degradation *shape* appears for any nonzero cache-bounce");
-    println!("    penalty; the constant only moves the knee)");
+    writeln!(
+        report,
+        "   (the degradation *shape* appears for any nonzero cache-bounce"
+    )?;
+    writeln!(report, "    penalty; the constant only moves the knee)")
 }
 
-fn main() {
-    schedule_ablation();
-    estimator_ablation();
-    sensitivity_ablation();
+fn main() -> ExitCode {
+    write_report(|report| {
+        schedule_ablation(report)?;
+        estimator_ablation(report)?;
+        sensitivity_ablation(report)
+    })
 }

@@ -28,3 +28,18 @@ fn figure6_exits_cleanly_with_stdout_closed() {
 fn table2_exits_cleanly_with_stdout_closed() {
     exits_cleanly_with_stdout_closed(env!("CARGO_BIN_EXE_table2"));
 }
+
+#[test]
+fn table1_exits_cleanly_with_stdout_closed() {
+    exits_cleanly_with_stdout_closed(env!("CARGO_BIN_EXE_table1"));
+}
+
+#[test]
+fn figure3_exits_cleanly_with_stdout_closed() {
+    exits_cleanly_with_stdout_closed(env!("CARGO_BIN_EXE_figure3"));
+}
+
+#[test]
+fn ablation_exits_cleanly_with_stdout_closed() {
+    exits_cleanly_with_stdout_closed(env!("CARGO_BIN_EXE_ablation"));
+}

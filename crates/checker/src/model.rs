@@ -108,11 +108,6 @@ pub struct ModelConfig {
     /// relaxed schedule); `None` is sequential consistency. Worker 0 (the
     /// main thread, and therefore the sequential oracle) never buffers.
     pub sb_window: Option<usize>,
-    /// Interpretation engine driving the checker's VMs (both the
-    /// controlled schedules and the sequential oracle). Engines are
-    /// report-invariant: identical visible events, identical final
-    /// worlds, identical error strings.
-    pub engine: commset_interp::Engine,
 }
 
 impl Default for ModelConfig {
@@ -124,7 +119,6 @@ impl Default for ModelConfig {
             delta: BTreeSet::new(),
             pause_at_world_calls: false,
             sb_window: None,
-            engine: commset_interp::Engine::Auto,
         }
     }
 }

@@ -14,7 +14,6 @@
 //!                            [--effects prog.effects]
 //! commsetc check    prog.cmm [--effects prog.effects] [--threads N]
 //!                            [--budget N] [--seed N] [--jobs N] [--fuzz]
-//!                            [--engine auto|tree-walk|bytecode]
 //!                            [--trace-out fail.json] [--corpus DIR]
 //!                            [--capture-corpus]
 //! commsetc profile  prog.cmm --scheme dswp [--sync spin] [--threads N]
@@ -45,10 +44,7 @@
 //! are caught, with mutants fanned across the same pool. The sidecar's
 //! `commutative CHANS`, `model size= stream=` and `relaxed [window=N]`
 //! directives configure the checker's abstract world (the latter opting
-//! into store-buffered schedule variants). `--engine` selects the VM
-//! driving the model world (tree-walk or the compiled bytecode backend);
-//! engines are report-invariant, so CI diffs the two reports to prove it.
-//! Exit status: 0 if the verdict
+//! into store-buffered schedule variants). Exit status: 0 if the verdict
 //! is clean, 1 otherwise. With `--trace-out`, a failing check additionally
 //! writes the canonical and failing interleavings as one Chrome
 //! trace-event JSON file.
@@ -107,7 +103,7 @@ use commset::report::parse_journal;
 use commset::spec::{build_table, parse_effects};
 use commset::{Compiler, Scheme, SyncMode};
 use commset_checker::{check_source, fuzz_annotations};
-use commset_interp::{Engine, ExecConfig, FailureBundle, RecoveryPolicy};
+use commset_interp::{ExecConfig, FailureBundle, RecoveryPolicy};
 use commset_lang::printer::print_program;
 use commset_telemetry::{chrome_trace_json, Journal};
 use std::process::ExitCode;
@@ -118,7 +114,6 @@ fn usage() -> ExitCode {
          [--effects <file>] [--pdg] [--threads N] \
          [--scheme doall|dswp|ps-dswp] [--sync spin|mutex|tm|lib] \
          [--hot-func NAME] [--dump-bytecode] \
-         [--engine auto|tree-walk|bytecode] \
          [--budget N] [--seed N] [--jobs N] [--fuzz] \
          [--corpus DIR] [--capture-corpus] \
          [--trace-out <file.json>] [--real] \
@@ -141,7 +136,6 @@ struct Args {
     sync: SyncMode,
     hot_func: Option<String>,
     dump_bytecode: bool,
-    engine: Engine,
     budget: Option<usize>,
     seed: Option<u64>,
     jobs: usize,
@@ -191,7 +185,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
         sync: SyncMode::Spin,
         hot_func: None,
         dump_bytecode: false,
-        engine: Engine::Auto,
         budget: None,
         seed: None,
         jobs: 1,
@@ -238,14 +231,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
             }
             "--hot-func" => args.hot_func = Some(value()?),
             "--dump-bytecode" => args.dump_bytecode = true,
-            "--engine" => {
-                args.engine = match value()?.as_str() {
-                    "auto" => Engine::Auto,
-                    "tree-walk" | "tree" => Engine::TreeWalk,
-                    "bytecode" => Engine::Bytecode,
-                    other => return Err(format!("unknown engine `{other}`")),
-                }
-            }
             "--budget" => {
                 let b: usize = value()?
                     .parse()
@@ -349,11 +334,11 @@ fn replay_corpus(dir: &std::path::Path, jobs: usize) -> Result<usize, String> {
         cfg.budget = cfg.full_family_budget();
         cfg.jobs = jobs;
         match check_source(&source, &table, &cfg) {
-            Ok(report) if report.is_fail() => println!(
-                "corpus: {name} still flagged ({} of {} schedules violate)",
+            Ok(report) if report.is_fail() => write_stdout(&format!(
+                "corpus: {name} still flagged ({} of {} schedules violate)\n",
                 report.violations.len(),
                 report.explored.len()
-            ),
+            )),
             Ok(report) => regressions.push(format!(
                 "{name}: no longer flagged ({})",
                 match &report.verdict {
@@ -374,6 +359,14 @@ fn replay_corpus(dir: &std::path::Path, jobs: usize) -> Result<usize, String> {
             regressions.join("\n  ")
         ))
     }
+}
+
+/// Writes `text` to stdout, ignoring errors: a reader that goes away
+/// early (`commsetc check ... | head`) must not turn into a broken-pipe
+/// panic.
+fn write_stdout(text: &str) {
+    use std::io::Write;
+    let _ = std::io::stdout().write_all(text.as_bytes());
 }
 
 /// Captures a newly found violation into the corpus: writes the input
@@ -456,10 +449,7 @@ fn run(args: &Args) -> Result<(), String> {
             if args.pdg {
                 out.push_str(&format!("\n{}\n", analysis.pdg_dump()));
             }
-            // One write, errors ignored: `commsetc analyze --pdg | head`
-            // must not panic on the closed pipe.
-            use std::io::Write;
-            let _ = std::io::stdout().write_all(out.as_bytes());
+            write_stdout(&out);
             Ok(())
         }
         "schedules" => {
@@ -493,7 +483,9 @@ fn run(args: &Args) -> Result<(), String> {
             let corpus_path = std::path::Path::new(&corpus_dir).to_path_buf();
             if corpus_path.is_dir() {
                 let n = replay_corpus(&corpus_path, args.jobs)?;
-                println!("corpus: {n} entries replayed, all still flagged");
+                write_stdout(&format!(
+                    "corpus: {n} entries replayed, all still flagged\n"
+                ));
             } else if args.corpus.is_some() {
                 return Err(format!("{corpus_dir}: corpus directory not found"));
             }
@@ -505,7 +497,6 @@ fn run(args: &Args) -> Result<(), String> {
             let mut cfg = spec.checker_config();
             cfg.nthreads = args.threads;
             cfg.jobs = args.jobs;
-            cfg.model.engine = args.engine;
             if let Some(b) = args.budget {
                 cfg.budget = b;
             }
@@ -515,7 +506,7 @@ fn run(args: &Args) -> Result<(), String> {
             if args.fuzz {
                 let report = fuzz_annotations(&source, &compiler.intrinsics, &cfg)
                     .map_err(|d| d.to_string())?;
-                print!("{report}");
+                write_stdout(&report.to_string());
                 if report.sound() {
                     Ok(())
                 } else {
@@ -524,7 +515,7 @@ fn run(args: &Args) -> Result<(), String> {
             } else {
                 let report =
                     check_source(&source, &compiler.intrinsics, &cfg).map_err(|d| d.to_string())?;
-                print!("{report}");
+                write_stdout(&report.to_string());
                 if let commset_checker::Verdict::Fail(fail) = &report.verdict {
                     // A failing check exports both interleavings as a
                     // Chrome trace so the divergence can be eyeballed.
@@ -747,10 +738,7 @@ fn run(args: &Args) -> Result<(), String> {
                     ));
                 }
             }
-            // One write, errors ignored: `commsetc compile | head` must
-            // not panic on the closed pipe.
-            use std::io::Write;
-            let _ = std::io::stdout().write_all(out.as_bytes());
+            write_stdout(&out);
             Ok(())
         }
         "emit" => {
@@ -777,10 +765,7 @@ fn run(args: &Args) -> Result<(), String> {
                 out.push_str(&format!("// lock {}: set {}\n", l.id, l.set));
             }
             out.push_str(&print_program(&pp.program));
-            // One write, errors ignored: `commsetc emit | head` must not
-            // panic on the closed pipe.
-            use std::io::Write;
-            let _ = std::io::stdout().write_all(out.as_bytes());
+            write_stdout(&out);
             Ok(())
         }
         other => Err(format!("unknown command `{other}`")),
@@ -923,14 +908,6 @@ mod tests {
         assert!(!a.dump_bytecode, "dump is opt-in");
         assert_eq!(a.scheme, Some(Scheme::Doall));
 
-        let a = args(&["check", "p.cmm"]).unwrap();
-        assert_eq!(a.engine, Engine::Auto, "engine defaults to auto");
-        let a = args(&["check", "p.cmm", "--engine", "tree-walk"]).unwrap();
-        assert_eq!(a.engine, Engine::TreeWalk);
-        let a = args(&["check", "p.cmm", "--engine", "bytecode"]).unwrap();
-        assert_eq!(a.engine, Engine::Bytecode);
-        assert!(args(&["check", "p.cmm", "--engine", "jit"]).is_err());
-
         // The REPLAY: line prints the seed in hex; it must paste back.
         let a = args(&["check", "p.cmm", "--seed", "0x5eedc0de"]).unwrap();
         assert_eq!(a.seed, Some(0x5eed_c0de));
@@ -1044,6 +1021,14 @@ mod tests {
             args(&["profile", "f.cmm", "--repro-dir"]).is_err(),
             "value missing"
         );
+    }
+
+    #[test]
+    fn retired_engine_flag_is_a_usage_error() {
+        // There is no engine selector: `--engine` is an unknown flag,
+        // which `main` turns into the usage message and exit 2.
+        let err = args(&["check", "p.cmm", "--engine", "tree-walk"]).unwrap_err();
+        assert!(err.contains("unknown flag `--engine`"), "{err}");
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! The compiled register-bytecode execution backend.
+//! The compiled register-bytecode execution engine — the only engine any
+//! executor runs.
 //!
 //! [`BcModule::compile`] lowers every IR [`Function`] to a contiguous
 //! `Vec<Op>` over virtual registers (one per slot) with **pre-resolved
@@ -20,15 +21,18 @@
 //! Every fused or folded op carries a **retire weight** — the number of
 //! IR instructions/terminators it stands for, at the tree-walk cost
 //! schedule (1 per instruction or terminator, 3 per program-function
-//! call). `step()` reports that weight as its `cost`, so the simulated
-//! clock of a bytecode run is *bit-identical* to the tree-walk clock:
-//! same `sim_time`, same blocking points, same deterministic schedules.
+//! call). `step()` reports that weight as its `cost`, so a bytecode run
+//! retires exactly the tree-walk's total cost, and every special surfaces
+//! after the same retired cost — except that a fall-through tick folded
+//! into a program-function call retires with the call, before the callee
+//! runs, where the tree-walk retires it after the callee returns.
 //!
 //! [`BcVm`] preserves the resumable [`StepOutcome::Special`] contract and
 //! the whole [`Vm`] surface (watched calls, `resolve_special`,
-//! `retry_special_later`), so the discrete-event executor, the
-//! real-thread executor, the supervisor ladder and the checker all drive
-//! the compiled form through the same code paths as the tree-walk.
+//! `retry_special_later`). The discrete-event executor, the real-thread
+//! executor, the supervisor ladder and the checker all drive it; the
+//! tree-walk [`Vm`] is kept only as the reference the lockstep wall
+//! (`tests/engine_parity.rs`) compares it against, step by step.
 
 use crate::error::ExecError;
 use crate::vm::{eval_bin, eval_un, zero_of, CallEvent, GlobalMem, PendingSpecial, StepOutcome};

@@ -2,15 +2,16 @@
 //!
 //! Execution of compiled Cmm modules.
 //!
-//! * [`vm`] — a *resumable* virtual machine over the IR: `step()` retires
-//!   one instruction; intrinsic calls surface as pending *special* events
-//!   the driving executor resolves. The same VM backs every executor.
-//! * [`bytecode`] — the compiled execution backend: each function is
-//!   lowered once to flat register bytecode (pre-resolved block offsets,
-//!   fused superinstructions, inline-cached intrinsic call sites) and run
-//!   by [`bytecode::BcVm`], which honors the same resumable `step()`
-//!   contract as the tree-walk VM. Selected per run via
-//!   [`config::Engine`].
+//! * [`bytecode`] — the execution engine: each function is lowered once
+//!   to flat register bytecode (pre-resolved block offsets, fused
+//!   superinstructions, inline-cached intrinsic call sites) and run by
+//!   [`bytecode::BcVm`], a *resumable* machine: `step()` retires one op;
+//!   intrinsic calls surface as pending *special* events the driving
+//!   executor resolves. Every executor runs it.
+//! * [`vm`] — the tree-walk interpreter over the CFG IR. No executor runs
+//!   it; it is the independent reference the lockstep wall
+//!   (`tests/engine_parity.rs`) steps beside [`bytecode::BcVm`], and it
+//!   defines the step contract (`StepOutcome`, `CallEvent`) both share.
 //! * [`globals`] — global-memory backends (plain for single-threaded
 //!   executors, atomic for the thread executor).
 //! * [`seq`] — the sequential executor (the evaluation baseline), with
@@ -50,7 +51,6 @@
 pub mod bundle;
 pub mod bytecode;
 pub mod config;
-pub mod engine;
 pub mod error;
 pub mod globals;
 pub mod metrics;
@@ -64,11 +64,10 @@ pub mod vm;
 
 pub use bundle::FailureBundle;
 pub use bytecode::{print_bc_function, print_bc_module, BcModule, BcVm};
-pub use config::{Engine, ExecConfig, WorldMode};
-pub use engine::{prepare_engine, program_cost_factor, EngineVm};
+pub use config::{ExecConfig, WorldMode};
 pub use error::ExecError;
 pub use metrics::MetricsLocal;
-pub use seq::{run_sequential, run_sequential_with};
+pub use seq::run_sequential;
 pub use sim_exec::{run_simulated, run_simulated_with, SimOutcome, SimStats};
 pub use special::SpecialOp;
 pub use supervise::{

@@ -29,8 +29,8 @@ impl MetricsLocal {
     }
 
     /// Records one retired op: `site` as sampled from
-    /// `EngineVm::bc_site()` *before* the step, `cost` as reported by the
-    /// step outcome.
+    /// [`BcVm::site`](crate::BcVm::site) *before* the step, `cost` as
+    /// reported by the step outcome.
     pub fn retire(&mut self, bc: &BcModule, site: (u32, u32), cost: u64) {
         let (func, pc) = site;
         let bf = &bc.funcs[func as usize];

@@ -30,9 +30,8 @@
 //! an adversarial [`FaultPlan`](commset_runtime::FaultPlan) schedule and
 //! runs the waits-for watchdog, whose report lands in [`SimStats`].
 
-use crate::bytecode::BcModule;
+use crate::bytecode::{BcModule, BcVm};
 use crate::config::{ExecConfig, WorldMode};
-use crate::engine::{prepare_engine, program_cost_factor, EngineVm};
 use crate::error::ExecError;
 use crate::globals::PlainGlobals;
 use crate::metrics::MetricsLocal;
@@ -110,11 +109,9 @@ struct SimMetrics {
 }
 
 impl SimMetrics {
-    fn retire(&mut self, bc: Option<&BcModule>, site: Option<(u32, u32)>, cost: u64) {
-        if self.on {
-            if let (Some(bc), Some(site)) = (bc, site) {
-                self.local.retire(bc, site, cost);
-            }
+    fn retire(&mut self, bc: &BcModule, site: Option<(u32, u32)>, cost: u64) {
+        if let Some(site) = site {
+            self.local.retire(bc, site, cost);
         }
     }
 
@@ -192,13 +189,11 @@ impl Decoded<'_> {
 /// the executor configuration.
 struct RunCtx<'a> {
     module: &'a Module,
-    bc: Option<&'a BcModule>,
+    bc: &'a BcModule,
     registry: &'a Registry,
     cm: &'a CostModel,
     cfg: &'a ExecConfig,
     injector: &'a FaultInjector,
-    /// The engine's dispatch factor on program work.
-    factor: u64,
     /// Indexed by `IntrinsicId`.
     intrinsics: Vec<Decoded<'a>>,
     /// `channel_wait.<channel>` metric keys indexed by channel id; empty
@@ -209,7 +204,7 @@ struct RunCtx<'a> {
 impl<'a> RunCtx<'a> {
     fn new(
         module: &'a Module,
-        bc: Option<&'a BcModule>,
+        bc: &'a BcModule,
         registry: &'a Registry,
         cm: &'a CostModel,
         cfg: &'a ExecConfig,
@@ -256,7 +251,6 @@ impl<'a> RunCtx<'a> {
             cm,
             cfg,
             injector,
-            factor: program_cost_factor(cfg.engine, cm),
             intrinsics,
             channel_wait_keys,
         }
@@ -304,10 +298,10 @@ pub fn run_simulated_with(
     cfg: &ExecConfig,
 ) -> Result<SimOutcome, ExecError> {
     let injector = FaultInjector::new(cfg.fault.clone());
-    let bc = prepare_engine(module, cfg.engine);
-    let ctx = RunCtx::new(module, bc.as_ref(), registry, cm, cfg, &injector);
+    let bc = BcModule::compile(module);
+    let ctx = RunCtx::new(module, &bc, registry, cm, cfg, &injector);
     let mut globals = PlainGlobals::new(module);
-    let mut vm = EngineVm::for_name(module, bc.as_ref(), "main", &[])?;
+    let mut vm = BcVm::for_name(module, &bc, "main", &[])?;
     let mut sim_time: u64 = 0;
     let mut stats = SimStats::default();
     let sink = cfg.telemetry.then(TelemetrySink::new);
@@ -320,13 +314,12 @@ pub fn run_simulated_with(
     let mut next_ord = 0usize;
     loop {
         // Sampled before the step so a retired op attributes to the site
-        // that produced it; `None` when metrics are off or the engine is
-        // the tree-walk VM.
-        let site = if mx.on { vm.bc_site() } else { None };
+        // that produced it; `None` when metrics are off.
+        let site = if mx.on { vm.site() } else { None };
         match vm.step(&mut globals)? {
             StepOutcome::Ran { cost } => {
-                sim_time += ctx.factor * cost * cm.inst;
-                mx.retire(bc.as_ref(), site, cost);
+                sim_time += cost * cm.inst;
+                mx.retire(&bc, site, cost);
             }
             StepOutcome::Special(p) => {
                 let d = ctx.decoded(&p);
@@ -374,7 +367,7 @@ pub fn run_simulated_with(
                     vm.resolve_special(Value::Int(0));
                 } else {
                     let out = d.call(world, &p.args);
-                    sim_time += ctx.factor * (d.sig.base_cost + out.extra_cost);
+                    sim_time += d.sig.base_cost + out.extra_cost;
                     vm.resolve_special(out.value);
                 }
             }
@@ -401,9 +394,7 @@ pub fn run_simulated_with(
                 });
                 let metrics = mx.on.then(|| {
                     let mut reg = std::mem::take(&mut mx.reg);
-                    if let Some(bcm) = bc.as_ref() {
-                        mx.local.publish(module, bcm, &mut reg);
-                    }
+                    mx.local.publish(module, &bc, &mut reg);
                     reg.inc("delta.applies", stats.delta.applies);
                     reg.inc("delta.coalesces", stats.delta.coalesces);
                     reg.inc("delta.merged_slots", stats.delta.merged_slots);
@@ -463,7 +454,7 @@ fn merge_watchdog(into: &mut WatchdogReport, from: WatchdogReport) {
 }
 
 struct Worker<'m> {
-    vm: EngineVm<'m>,
+    vm: BcVm<'m>,
     clock: u64,
     status: WStatus,
     tx: Option<commset_sim::tm::TxRecord>,
@@ -638,7 +629,7 @@ fn run_section<'m>(
     let watch = cfg.trace.is_some() || telem.on;
     let mut workers: Vec<Worker<'m>> = Vec::with_capacity(plan.workers.len());
     for w in &plan.workers {
-        let mut vm = EngineVm::for_name(
+        let mut vm = BcVm::for_name(
             ctx.module,
             ctx.bc,
             &w.func,
@@ -702,7 +693,7 @@ fn run_section<'m>(
                     });
                 }
             }
-            let site = if mx.on { workers[i].vm.bc_site() } else { None };
+            let site = if mx.on { workers[i].vm.site() } else { None };
             let step = workers[i]
                 .vm
                 .step(globals)
@@ -712,7 +703,7 @@ fn run_section<'m>(
                 })?;
             let repick = match step {
                 StepOutcome::Ran { cost } => {
-                    workers[i].clock += ctx.factor * cost * cm.inst;
+                    workers[i].clock += cost * cm.inst;
                     mx.retire(ctx.bc, site, cost);
                     false
                 }
@@ -857,7 +848,7 @@ fn handle_special(
     telem: &mut SectionTelemetry,
     mx: &mut SimMetrics,
 ) -> Result<(), ExecError> {
-    let (cm, cfg, injector, factor) = (ctx.cm, ctx.cfg, ctx.injector, ctx.factor);
+    let (cm, cfg, injector) = (ctx.cm, ctx.cfg, ctx.injector);
     let d = ctx.decoded(p);
     // A stalled worker pauses at its synchronization events; a slow
     // worker pays its drag at every one of them.
@@ -1087,7 +1078,7 @@ fn handle_special(
             if !sec.delta_bufs.is_empty() && d.bound {
                 if let Some(slots) = ctx.registry.delta_route(d.name, &p.args) {
                     let out = sec.delta_bufs[i].apply(ctx.registry, d.name, &p.args, &slots);
-                    let done = workers[i].clock + factor * (base + out.extra_cost);
+                    let done = workers[i].clock + base + out.extra_cost;
                     if telem.on {
                         telem.span(
                             i,
@@ -1114,18 +1105,14 @@ fn handle_special(
                 }
             }
             let out = d.call(world, &p.args);
-            let raw = base + out.extra_cost;
-            // Application work executed by the engine pays the engine's
-            // dispatch factor; the serialized/parallel split keeps its
-            // proportions.
-            let cost = factor * raw;
+            let cost = base + out.extra_cost;
             // Private compute overlaps across cores; only the serialized
             // portion holds the intrinsic's write channels (readers wait
             // for in-flight writers). Instance-partitioned channels hold
             // per-instance state and never serialize across workers
             // (each instance is its own cache lines), so `shared` leaves
             // them out.
-            let ser = (factor * out.serialized_cost.unwrap_or(raw)).min(cost);
+            let ser = out.serialized_cost.unwrap_or(cost).min(cost);
             let par = cost - ser;
             let base_start = workers[i].clock + par;
             let start = d

@@ -1,13 +1,15 @@
-//! The resumable Cmm virtual machine.
+//! The resumable tree-walk Cmm virtual machine — the reference semantics.
 //!
 //! `step()` retires exactly one instruction (or terminator). Calls to
 //! program functions push frames internally; calls to *intrinsics* pause
-//! the machine with a [`StepOutcome::Special`] event — the executor
+//! the machine with a [`StepOutcome::Special`] event — the driver
 //! computes the result (world access, queue/lock interaction, blocking)
-//! and resumes the machine with [`Vm::resolve_special`]. This design lets
-//! the discrete-event executor interleave many machines deterministically
-//! and lets the thread executor block on real primitives, with one VM
-//! implementation.
+//! and resumes the machine with [`Vm::resolve_special`].
+//!
+//! The executors run the compiled [`BcVm`](crate::BcVm), which honors
+//! this same contract; this module defines that contract ([`StepOutcome`],
+//! [`CallEvent`], [`GlobalMem`]) and keeps the tree-walk machine as the
+//! independent reference the lockstep wall steps beside the compiled one.
 //!
 //! Dynamic errors the type system cannot rule out — division by zero,
 //! out-of-bounds indexing, mixed-type operations — surface as
@@ -92,7 +94,7 @@ struct WatchState {
 }
 
 /// A pending intrinsic call awaiting its result.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PendingSpecial {
     /// The intrinsic being called.
     pub intrinsic: IntrinsicId,
@@ -105,7 +107,7 @@ pub struct PendingSpecial {
 }
 
 /// What one `step()` did.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub enum StepOutcome {
     /// An instruction retired; `cost` abstract units were spent.
     Ran {

@@ -10,8 +10,8 @@
 //! * [`lock`] — raw spin locks and mutexes with explicit acquire/release
 //!   (the sync engine emits paired `__lock_acquire`/`__lock_release`
 //!   operations).
-//! * [`stm`] — a TL2-style software transactional memory (global version
-//!   clock, versioned cells, redo log) backing the optimistic sync mode.
+//! * [`stm`] — [`BackoffPolicy`], the retry discipline (backoff window,
+//!   escalation threshold) of the simulator's optimistic sync mode.
 //! * [`world`] — the virtual world: type-erased, channel-keyed mutable
 //!   state standing in for the paper's files, console, RNG seeds, packet
 //!   pools and allocators.
@@ -53,7 +53,7 @@ pub use sharded::{
     shard_of_slot, stripe_of, stripe_slot, ShardObserver, ShardStatsSnapshot, ShardedWorld,
     WORLD_STRIPES,
 };
-pub use stm::{BackoffPolicy, StmStats};
+pub use stm::BackoffPolicy;
 pub use value::Value;
 pub use watchdog::{Watchdog, WatchdogReport};
 pub use world::{SlotError, SlotErrorKind, World};

@@ -1,46 +1,23 @@
-//! A TL2-style software transactional memory.
+//! The transactional retry discipline.
 //!
-//! This backs the paper's *optimistic* synchronization mode (§4.6, "via
-//! Intel's transactional memory runtime"): a global version clock,
-//! per-cell version/value pairs, transactions with read-set validation and
-//! a redo log, and commit-time locking in address order (deadlock-free).
-//!
-//! # Hardening
-//!
-//! Unbounded optimistic retry is livelock-free *globally* (a transaction
-//! only aborts because another one committed) but admits *individual*
-//! starvation under contention storms. Two mechanisms bound that:
-//!
-//! * **Exponential backoff with jitter** ([`BackoffPolicy`]) between
-//!   retries, seeded deterministically from [`crate::rng::SplitMix64`], so
-//!   colliding transactions decorrelate.
-//! * **A starvation fallback**: after `max_aborts` consecutive aborts the
-//!   transaction escalates to the *rank-0 global lock* — the write side of
-//!   an RwLock whose read side every optimistic commit briefly holds. With
-//!   the write side held no optimistic commit can interleave, so the
-//!   escalated retry is guaranteed to succeed: pessimistic but fair,
-//!   mirroring the paper's mutex fallback for TM-inapplicable members.
-//!
-//! Abort/commit/fallback counts are surfaced through [`Stm::stats`].
+//! The paper's optimistic synchronization mode (§4.6, "via Intel's
+//! transactional memory runtime") is modeled by the discrete-event
+//! simulator (`commset-sim`'s `TmModel`): a transaction that aborts backs
+//! off and redoes its work, and one that keeps aborting escalates to the
+//! rank-0 global lock, which is pessimistic but guaranteed to commit.
+//! [`BackoffPolicy`] holds the two knobs of that discipline. The
+//! real-thread executor runs TM sections under one pessimistic lock and
+//! never aborts, so it reads neither knob.
 
-use crate::fault::FaultInjector;
-use crate::rng::SplitMix64;
-use crate::sync::{Mutex, RwLock};
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Retry discipline for [`Stm::atomically_with`].
+/// Retry discipline of a modeled transaction.
 #[derive(Debug, Clone)]
 pub struct BackoffPolicy {
     /// Consecutive aborts tolerated before escalating to the rank-0
     /// global lock. `0` escalates on the first abort.
     pub max_aborts: u32,
-    /// Base spin iterations of the first backoff window.
+    /// Spin cycles of the first backoff window; the window doubles per
+    /// abort.
     pub base_spins: u32,
-    /// The window doubles per abort up to `base_spins << max_shift`.
-    pub max_shift: u32,
-    /// Seed for the jitter RNG (deterministic per call site).
-    pub jitter_seed: u64,
 }
 
 impl Default for BackoffPolicy {
@@ -48,578 +25,6 @@ impl Default for BackoffPolicy {
         BackoffPolicy {
             max_aborts: 8,
             base_spins: 16,
-            max_shift: 10,
-            jitter_seed: 0x5eed_c0de,
-        }
-    }
-}
-
-impl BackoffPolicy {
-    /// Spin budget for the `attempt`-th retry (1-based), jittered.
-    pub fn window(&self, attempt: u32, rng: &mut SplitMix64) -> u32 {
-        let shift = attempt.saturating_sub(1).min(self.max_shift);
-        let ceiling = self.base_spins.saturating_mul(1 << shift).max(1);
-        // Jitter: uniform in [ceiling/2, ceiling].
-        let half = ceiling / 2;
-        half + (rng.next_u64() % u64::from(ceiling - half + 1)) as u32
-    }
-}
-
-/// How one `atomically_with` call resolved.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TxReport {
-    /// Aborts suffered before success.
-    pub aborts: u64,
-    /// True when the transaction escalated to the rank-0 global lock.
-    pub fell_back: bool,
-}
-
-/// Cumulative heap-wide counters (snapshot).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StmStats {
-    /// Committed transactions.
-    pub commits: u64,
-    /// Aborted attempts (including injected aborts).
-    pub aborts: u64,
-    /// Transactions that escalated to the pessimistic fallback.
-    pub fallbacks: u64,
-    /// Aborts forced by fault injection.
-    pub injected_aborts: u64,
-}
-
-/// A transactional heap of `u64` cells.
-pub struct Stm {
-    clock: AtomicU64,
-    cells: Vec<Cell>,
-    /// Rank-0 global lock: optimistic commits hold the read side, the
-    /// starvation fallback holds the write side.
-    fallback: RwLock<()>,
-    commits: AtomicU64,
-    aborts: AtomicU64,
-    fallbacks: AtomicU64,
-    injected_aborts: AtomicU64,
-}
-
-struct Cell {
-    /// Even = unlocked version; odd = write-locked.
-    version: AtomicU64,
-    value: AtomicU64,
-    /// Commit-time writer lock.
-    lock: Mutex<()>,
-}
-
-/// Why a transaction attempt failed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Abort;
-
-/// An in-flight transaction.
-pub struct Tx<'stm> {
-    stm: &'stm Stm,
-    rv: u64,
-    reads: BTreeMap<usize, u64>,
-    writes: BTreeMap<usize, u64>,
-    /// Set when a read observed an inconsistent cell; the transaction can
-    /// no longer commit, even if the body swallowed the [`Abort`].
-    poisoned: bool,
-    /// Number of aborts suffered so far (exposed for the cost model).
-    pub aborts: u64,
-}
-
-impl Stm {
-    /// Creates a heap with `n` zero-initialized cells.
-    pub fn new(n: usize) -> Self {
-        Stm {
-            clock: AtomicU64::new(2),
-            cells: (0..n)
-                .map(|_| Cell {
-                    version: AtomicU64::new(2),
-                    value: AtomicU64::new(0),
-                    lock: Mutex::new(()),
-                })
-                .collect(),
-            fallback: RwLock::new(()),
-            commits: AtomicU64::new(0),
-            aborts: AtomicU64::new(0),
-            fallbacks: AtomicU64::new(0),
-            injected_aborts: AtomicU64::new(0),
-        }
-    }
-
-    /// Number of cells.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// True if the heap has no cells.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    /// Starts a transaction.
-    pub fn begin(&self) -> Tx<'_> {
-        Tx {
-            stm: self,
-            rv: self.clock.load(Ordering::Acquire),
-            reads: BTreeMap::new(),
-            writes: BTreeMap::new(),
-            poisoned: false,
-            aborts: 0,
-        }
-    }
-
-    /// Snapshot of the cumulative counters.
-    pub fn stats(&self) -> StmStats {
-        StmStats {
-            commits: self.commits.load(Ordering::Relaxed),
-            aborts: self.aborts.load(Ordering::Relaxed),
-            fallbacks: self.fallbacks.load(Ordering::Relaxed),
-            injected_aborts: self.injected_aborts.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Runs `body` transactionally until it commits, returning the result
-    /// and the number of aborts. Uses the default [`BackoffPolicy`] and no
-    /// fault injection.
-    pub fn atomically<R>(&self, body: impl FnMut(&mut Tx<'_>) -> R) -> (R, u64) {
-        let (r, report) = self.atomically_with(&BackoffPolicy::default(), None, body);
-        (r, report.aborts)
-    }
-
-    /// Runs `body` transactionally under `policy`, optionally subjecting
-    /// commit attempts to `fault` (forced aborts). Returns the result and
-    /// a per-call [`TxReport`].
-    ///
-    /// The body may run multiple times; it must be idempotent apart from
-    /// its transactional reads/writes (the standard STM contract).
-    pub fn atomically_with<R>(
-        &self,
-        policy: &BackoffPolicy,
-        fault: Option<&FaultInjector>,
-        mut body: impl FnMut(&mut Tx<'_>) -> R,
-    ) -> (R, TxReport) {
-        let mut report = TxReport::default();
-        let mut rng = SplitMix64::new(
-            policy
-                .jitter_seed
-                .wrapping_add(self.clock.load(Ordering::Relaxed)),
-        );
-        loop {
-            // Starvation fallback: escalate to the rank-0 global lock.
-            if report.aborts > u64::from(policy.max_aborts) {
-                let _rank0 = self.fallback.write();
-                self.fallbacks.fetch_add(1, Ordering::Relaxed);
-                report.fell_back = true;
-                // With the write side held no optimistic commit can
-                // interleave, so this attempt cannot be invalidated.
-                // Injected aborts are ignored here by design: the fallback
-                // is the escape hatch the injection exists to exercise.
-                let mut tx = self.begin();
-                let r = body(&mut tx);
-                match tx.commit_internal(false) {
-                    Ok(()) => {
-                        self.commits.fetch_add(1, Ordering::Relaxed);
-                        return (r, report);
-                    }
-                    Err(Abort) => {
-                        // Only possible if the body poisoned itself against
-                        // a commit that happened *before* we took rank-0.
-                        // With the write side held no optimistic commit can
-                        // interleave, so retrying under the lock converges
-                        // (normally in one pass) — a loop instead of an
-                        // `expect` so even a violated invariant degrades to
-                        // retries rather than panicking into the caller.
-                        loop {
-                            self.aborts.fetch_add(1, Ordering::Relaxed);
-                            report.aborts += 1;
-                            let mut tx = self.begin();
-                            let r = body(&mut tx);
-                            if tx.commit_internal(false).is_ok() {
-                                self.commits.fetch_add(1, Ordering::Relaxed);
-                                return (r, report);
-                            }
-                        }
-                    }
-                }
-            }
-            let mut tx = self.begin();
-            let r = body(&mut tx);
-            let forced = fault.map(|f| f.force_stm_abort()).unwrap_or(false);
-            if forced {
-                self.injected_aborts.fetch_add(1, Ordering::Relaxed);
-                self.aborts.fetch_add(1, Ordering::Relaxed);
-                report.aborts += 1;
-            } else {
-                match tx.commit() {
-                    Ok(()) => {
-                        self.commits.fetch_add(1, Ordering::Relaxed);
-                        return (r, report);
-                    }
-                    Err(Abort) => {
-                        self.aborts.fetch_add(1, Ordering::Relaxed);
-                        report.aborts += 1;
-                    }
-                }
-            }
-            // Bounded exponential backoff with jitter before retrying.
-            let spins = policy.window(report.aborts.min(u64::from(u32::MAX)) as u32, &mut rng);
-            for s in 0..spins {
-                if s % 64 == 63 {
-                    std::thread::yield_now();
-                } else {
-                    std::hint::spin_loop();
-                }
-            }
-        }
-    }
-
-    /// Non-transactional read (for checks and tests).
-    pub fn peek(&self, idx: usize) -> u64 {
-        self.cells[idx].value.load(Ordering::Acquire)
-    }
-}
-
-impl Tx<'_> {
-    /// Transactional read.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Abort`] if the cell changed since the transaction began.
-    /// The transaction is then *poisoned*: even if the body ignores the
-    /// error (e.g. substitutes a default), [`Tx::commit`] will refuse it
-    /// and [`Stm::atomically`] will restart the body — an inconsistent
-    /// snapshot can never escape.
-    pub fn read(&mut self, idx: usize) -> Result<u64, Abort> {
-        if let Some(&v) = self.writes.get(&idx) {
-            return Ok(v);
-        }
-        if let Some(&v) = self.reads.get(&idx) {
-            return Ok(v);
-        }
-        let cell = &self.stm.cells[idx];
-        let v1 = cell.version.load(Ordering::Acquire);
-        let value = cell.value.load(Ordering::Acquire);
-        let v2 = cell.version.load(Ordering::Acquire);
-        if v1 != v2 || v1 % 2 == 1 || v1 > self.rv {
-            self.poisoned = true;
-            return Err(Abort);
-        }
-        self.reads.insert(idx, value);
-        Ok(value)
-    }
-
-    /// Transactional write (buffered until commit).
-    pub fn write(&mut self, idx: usize, value: u64) {
-        self.writes.insert(idx, value);
-    }
-
-    /// Marks the transaction poisoned (test hook for the commit-refusal
-    /// path; `read` sets this on an inconsistent snapshot).
-    pub fn poison(&mut self) {
-        self.poisoned = true;
-    }
-
-    /// Attempts to commit.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Abort`] when read validation fails; the caller restarts.
-    pub fn commit(self) -> Result<(), Abort> {
-        self.commit_internal(true)
-    }
-
-    /// Commit body. When `take_read_side` is true the commit briefly holds
-    /// the read side of the rank-0 lock so a starving writer holding the
-    /// write side excludes it.
-    fn commit_internal(self, take_read_side: bool) -> Result<(), Abort> {
-        if self.poisoned {
-            return Err(Abort);
-        }
-        if self.writes.is_empty() {
-            return Ok(()); // read-only: validated on each read
-        }
-        let _read_side = if take_read_side {
-            Some(self.stm.fallback.read())
-        } else {
-            None
-        };
-        // Lock the write set in index order (BTreeMap iteration), marking
-        // versions odd.
-        let mut guards: Vec<(usize, crate::sync::MutexGuard<'_, ()>, u64)> = Vec::new();
-        for &idx in self.writes.keys() {
-            let cell = &self.stm.cells[idx];
-            let guard = cell.lock.lock();
-            let v = cell.version.load(Ordering::Acquire);
-            if v % 2 == 1 || v > self.rv {
-                // Someone committed past us; undo the lock markers taken so
-                // far before aborting.
-                drop(guard);
-                for (idx, _, old) in &guards {
-                    self.stm.cells[*idx].version.store(*old, Ordering::Release);
-                }
-                return Err(Abort);
-            }
-            cell.version.store(v + 1, Ordering::Release); // mark locked
-            guards.push((idx, guard, v));
-        }
-        // Validate the read set.
-        for &idx in self.reads.keys() {
-            if self.writes.contains_key(&idx) {
-                continue; // we hold its lock
-            }
-            let v = self.stm.cells[idx].version.load(Ordering::Acquire);
-            if v % 2 == 1 || v > self.rv {
-                for (idx, _, old) in &guards {
-                    self.stm.cells[*idx].version.store(*old, Ordering::Release);
-                }
-                return Err(Abort);
-            }
-        }
-        // Publish.
-        let wv = self.stm.clock.fetch_add(2, Ordering::AcqRel) + 2;
-        for (idx, _, _) in &guards {
-            self.stm.cells[*idx]
-                .value
-                .store(self.writes[idx], Ordering::Release);
-        }
-        for (idx, _, _) in &guards {
-            self.stm.cells[*idx].version.store(wv, Ordering::Release);
-        }
-        Ok(())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::Arc;
-
-    #[test]
-    fn single_threaded_read_write() {
-        let stm = Stm::new(4);
-        let ((), aborts) = stm.atomically(|tx| {
-            let v = tx.read(0).unwrap_or(0);
-            tx.write(0, v + 7);
-        });
-        assert_eq!(aborts, 0);
-        assert_eq!(stm.peek(0), 7);
-        let s = stm.stats();
-        assert_eq!((s.commits, s.aborts, s.fallbacks), (1, 0, 0));
-    }
-
-    #[test]
-    fn concurrent_increments_serialize() {
-        let stm = Arc::new(Stm::new(1));
-        let threads = 4;
-        let per = 500;
-        let mut handles = Vec::new();
-        for _ in 0..threads {
-            let stm = Arc::clone(&stm);
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..per {
-                    stm.atomically(|tx| {
-                        let v = tx.read(0).unwrap_or(0);
-                        tx.write(0, v + 1);
-                    });
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(stm.peek(0), threads * per);
-        assert_eq!(stm.stats().commits, threads * per);
-    }
-
-    #[test]
-    fn read_only_transactions_never_write_lock() {
-        let stm = Stm::new(2);
-        stm.atomically(|tx| {
-            tx.write(0, 5);
-            tx.write(1, 6);
-        });
-        let (sum, _) = stm.atomically(|tx| tx.read(0).unwrap_or(0) + tx.read(1).unwrap_or(0));
-        assert_eq!(sum, 11);
-    }
-
-    #[test]
-    fn poisoned_reads_cannot_commit() {
-        // A body that swallows the read abort must still be retried:
-        // commit refuses a poisoned transaction even when read-only.
-        let stm = Stm::new(1);
-        let mut tx = stm.begin();
-        tx.poison(); // as read() would set on an inconsistent cell
-        assert_eq!(tx.commit(), Err(Abort));
-        let mut tx = stm.begin();
-        tx.poison();
-        tx.write(0, 9);
-        assert_eq!(tx.commit(), Err(Abort));
-        assert_eq!(stm.peek(0), 0, "poisoned writes never publish");
-    }
-
-    #[test]
-    fn snapshot_isolation_between_cells() {
-        // A transfer between two cells preserves the invariant sum under
-        // concurrent observation.
-        let stm = Arc::new(Stm::new(2));
-        stm.atomically(|tx| {
-            tx.write(0, 100);
-            tx.write(1, 100);
-        });
-        let writer = {
-            let stm = Arc::clone(&stm);
-            std::thread::spawn(move || {
-                for _ in 0..2000 {
-                    stm.atomically(|tx| {
-                        let a = tx.read(0).unwrap_or(0);
-                        let b = tx.read(1).unwrap_or(0);
-                        tx.write(0, a.wrapping_sub(1));
-                        tx.write(1, b + 1);
-                    });
-                }
-            })
-        };
-        let reader = {
-            let stm = Arc::clone(&stm);
-            std::thread::spawn(move || {
-                for _ in 0..2000 {
-                    let (sum, _) = stm.atomically(|tx| {
-                        let a = tx.read(0).unwrap_or(0);
-                        let b = tx.read(1).unwrap_or(0);
-                        a.wrapping_add(b)
-                    });
-                    assert_eq!(sum, 200, "invariant must hold in every snapshot");
-                }
-            })
-        };
-        writer.join().unwrap();
-        reader.join().unwrap();
-    }
-
-    #[test]
-    fn forced_abort_storm_escalates_to_the_rank0_fallback() {
-        // Every optimistic commit attempt is injected to fail; only the
-        // starvation fallback (rank-0 write lock) can make progress, and
-        // the result must still be correct.
-        let stm = Stm::new(1);
-        let policy = BackoffPolicy {
-            max_aborts: 3,
-            base_spins: 2,
-            max_shift: 2,
-            jitter_seed: 42,
-        };
-        let injector = FaultInjector::new(crate::fault::FaultPlan {
-            stm_abort_every: 1,
-            ..crate::fault::FaultPlan::none()
-        });
-        let ((), report) = stm.atomically_with(&policy, Some(&injector), |tx| {
-            let v = tx.read(0).unwrap_or(0);
-            tx.write(0, v + 13);
-        });
-        assert_eq!(stm.peek(0), 13);
-        assert!(report.fell_back, "storm must reach the fallback");
-        assert_eq!(report.aborts, u64::from(policy.max_aborts) + 1);
-        let s = stm.stats();
-        assert_eq!(s.fallbacks, 1);
-        assert_eq!(s.injected_aborts, report.aborts);
-        assert_eq!(s.commits, 1);
-    }
-
-    #[test]
-    fn fallback_excludes_optimistic_commits_under_contention() {
-        // Many threads under a partial abort storm: injected aborts drive
-        // some transactions through the fallback while others commit
-        // optimistically, and no increment is ever lost.
-        let stm = Arc::new(Stm::new(1));
-        let injector = Arc::new(FaultInjector::new(crate::fault::FaultPlan {
-            stm_abort_every: 2,
-            ..crate::fault::FaultPlan::none()
-        }));
-        // `max_aborts: 0` sends any transaction that suffers even one
-        // injected abort straight to rank-0, so roughly every other
-        // transaction commits through the fallback while the rest stay
-        // optimistic — the mixed regime the read/write lock must survive.
-        let policy = BackoffPolicy {
-            max_aborts: 0,
-            base_spins: 2,
-            max_shift: 2,
-            jitter_seed: 7,
-        };
-        let threads = 4;
-        let per = 200;
-        let mut handles = Vec::new();
-        for _ in 0..threads {
-            let stm = Arc::clone(&stm);
-            let injector = Arc::clone(&injector);
-            let policy = policy.clone();
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..per {
-                    stm.atomically_with(&policy, Some(&injector), |tx| {
-                        let v = tx.read(0).unwrap_or(0);
-                        tx.write(0, v + 1);
-                    });
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(stm.peek(0), threads * per, "no lost updates");
-        let s = stm.stats();
-        assert_eq!(s.commits, threads * per);
-        assert!(s.fallbacks > 0, "storm must starve someone into rank-0");
-        assert!(s.injected_aborts > 0);
-    }
-
-    #[test]
-    fn commit_locks_in_address_order_so_opposite_write_orders_cannot_deadlock() {
-        // Two threads repeatedly write the same pair of cells in opposite
-        // program order. Commit sorts write sets by index (BTreeMap), so
-        // lock acquisition order is identical in both and the run cannot
-        // deadlock; the invariant (both cells equal) holds in every
-        // committed state.
-        let stm = Arc::new(Stm::new(2));
-        let mut handles = Vec::new();
-        for flip in [false, true] {
-            let stm = Arc::clone(&stm);
-            handles.push(std::thread::spawn(move || {
-                for i in 0..1500u64 {
-                    stm.atomically(|tx| {
-                        let v = tx.read(0).unwrap_or(0).max(tx.read(1).unwrap_or(0)) + i;
-                        if flip {
-                            tx.write(1, v);
-                            tx.write(0, v);
-                        } else {
-                            tx.write(0, v);
-                            tx.write(1, v);
-                        }
-                    });
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap(); // termination IS the deadlock-freedom check
-        }
-        assert_eq!(stm.peek(0), stm.peek(1), "pairs publish atomically");
-    }
-
-    #[test]
-    fn backoff_window_doubles_and_jitters_within_bounds() {
-        let p = BackoffPolicy {
-            max_aborts: 4,
-            base_spins: 8,
-            max_shift: 3,
-            jitter_seed: 1,
-        };
-        let mut rng = SplitMix64::new(1);
-        for attempt in 1..=6u32 {
-            let ceiling = p.base_spins << attempt.saturating_sub(1).min(p.max_shift);
-            for _ in 0..100 {
-                let w = p.window(attempt, &mut rng);
-                assert!(
-                    w >= ceiling / 2 && w <= ceiling,
-                    "attempt {attempt}: {w} vs {ceiling}"
-                );
-            }
         }
     }
 }

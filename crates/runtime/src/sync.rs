@@ -6,7 +6,7 @@
 //! propagated**. A worker that panics while holding a lock must not take
 //! the whole run down with a `PoisonError` — panic containment is the
 //! executors' job (see `commset-interp`'s `thread_exec`), and the shared
-//! structures these locks guard (the virtual world, STM cell metadata)
+//! structures these locks guard (the virtual world, the watchdog graph)
 //! are left in a consistent state by construction: every critical section
 //! either completes its mutation or the containing executor discards the
 //! run's output and reports a `WorkerFailed` error.
@@ -113,10 +113,6 @@ impl Condvar {
 }
 
 /// A readers-writer lock that recovers from poisoning.
-///
-/// Used by the STM's starvation fallback: optimistic commits hold the read
-/// side; a starving transaction escalates to the write side (the "rank-0
-/// global lock"), which serializes it against every optimistic commit.
 #[derive(Debug, Default)]
 pub struct RwLock<T: ?Sized>(std::sync::RwLock<T>);
 
