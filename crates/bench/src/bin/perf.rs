@@ -46,6 +46,7 @@
 
 use commset::Scheme;
 use commset_bench::diff::{diff_reports, DiffConfig};
+use commset_bench::write_report;
 use commset_interp::bundle::Json;
 use commset_interp::{Backend, ExecConfig, RecoveryPolicy, ThreadOutcome, WorldMode};
 use commset_runtime::{DeltaSnapshot, ShardStatsSnapshot};
@@ -333,8 +334,8 @@ fn run_diff(old_path: &str, against: Option<&str>) -> ! {
         eprintln!("error: {e}");
         usage();
     });
-    print!("{}", report.render_text());
-    if report.regressions().is_empty() {
+    let written = write_report(|out| out.write_all(report.render_text().as_bytes()));
+    if written == std::process::ExitCode::SUCCESS && report.regressions().is_empty() {
         std::process::exit(0);
     }
     std::process::exit(1);

@@ -4,7 +4,14 @@
 use std::process::{Command, Stdio};
 
 fn exits_cleanly_with_stdout_closed(bin: &str) {
+    exits_cleanly_with_args(bin, &[]);
+}
+
+/// Runs `bin args` from the repository root with stdout closed.
+fn exits_cleanly_with_args(bin: &str, args: &[&str]) {
     let mut child = Command::new(bin)
+        .current_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
+        .args(args)
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
@@ -13,7 +20,7 @@ fn exits_cleanly_with_stdout_closed(bin: &str) {
     let out = child.wait_with_output().expect("waits");
     assert!(
         out.status.success(),
-        "{bin}: {:?}\n{}",
+        "{bin} {args:?}: {:?}\n{}",
         out.status,
         String::from_utf8_lossy(&out.stderr)
     );
@@ -42,4 +49,19 @@ fn figure3_exits_cleanly_with_stdout_closed() {
 #[test]
 fn ablation_exits_cleanly_with_stdout_closed() {
     exits_cleanly_with_stdout_closed(env!("CARGO_BIN_EXE_ablation"));
+}
+
+/// `perf --diff` is the mode that writes its report to stdout; diffing
+/// the committed baseline against itself is clean (status 0).
+#[test]
+fn perf_diff_exits_cleanly_with_stdout_closed() {
+    exits_cleanly_with_args(
+        env!("CARGO_BIN_EXE_perf"),
+        &[
+            "--diff",
+            "BENCH_PARALLEL.json",
+            "--against",
+            "BENCH_PARALLEL.json",
+        ],
+    );
 }

@@ -13,8 +13,10 @@
 //! only their *order*). Lock and transaction intrinsics are therefore
 //! no-ops here; pipeline queues are real FIFOs.
 //!
-//! The run is a pure function of `(module, plan, scheduler, model config)`
-//! — same inputs, same interleaving, same final world.
+//! The run is a pure function of `(program, plan, scheduler, model config)`
+//! — same inputs, same interleaving, same final world. The program is
+//! compiled once, into a [`ControlledProgram`], and every schedule of a
+//! campaign runs that one compile.
 
 use crate::model::{ModelConfig, ModelWorld};
 use commset_interp::globals::PlainGlobals;
@@ -250,11 +252,17 @@ impl Scheduler for Recording<'_> {
 pub struct Replay {
     decisions: Vec<Option<usize>>,
     pos: usize,
+    /// Per pick, in order: whether it returned `ready[0]`.
+    pub canonical: Vec<bool>,
 }
 impl Replay {
     /// Replays `decisions`; `None` means "canonical choice here".
     pub fn new(decisions: Vec<Option<usize>>) -> Self {
-        Replay { decisions, pos: 0 }
+        Replay {
+            decisions,
+            pos: 0,
+            canonical: Vec::new(),
+        }
     }
 }
 impl Scheduler for Replay {
@@ -265,10 +273,12 @@ impl Scheduler for Replay {
     fn pick(&mut self, ready: &[usize]) -> usize {
         let want = self.decisions.get(self.pos).copied().flatten();
         self.pos += 1;
-        match want {
+        let w = match want {
             Some(w) if ready.contains(&w) => w,
             _ => ready[0],
-        }
+        };
+        self.canonical.push(w == ready[0]);
+        w
     }
 }
 
@@ -318,10 +328,29 @@ struct CWorker<'m> {
     state: WState,
 }
 
-struct Machine<'m> {
-    module: &'m Module,
+/// A transformed module compiled for controlled execution: its bytecode
+/// and its decoded intrinsics. A campaign builds one and every schedule,
+/// shrinker replay and worker VM of the campaign borrows it.
+pub struct ControlledProgram {
+    module: Module,
+    bc: BcModule,
     /// The decoded intrinsics, indexed by `IntrinsicId`.
     ops: Vec<SpecialOp>,
+}
+
+impl ControlledProgram {
+    /// Compiles `module` and decodes its intrinsic table.
+    pub fn new(module: Module) -> Self {
+        ControlledProgram {
+            bc: BcModule::compile(&module),
+            ops: SpecialOp::decode_table(&module.intrinsics),
+            module,
+        }
+    }
+}
+
+struct Machine<'m> {
+    program: &'m ControlledProgram,
     world: ModelWorld,
     budget: u64,
     queues: Vec<VecDeque<u64>>,
@@ -349,9 +378,10 @@ impl<'m> Machine<'m> {
         in_region: bool,
         region_func: &str,
     ) -> Result<WState, CheckError> {
-        // Copy the module reference out so intrinsic names can stay
+        // Copy the program reference out so intrinsic names can stay
         // borrowed `&str` across the `self.world` calls below.
-        let module = self.module;
+        let program = self.program;
+        let module = &program.module;
         loop {
             self.spend()?;
             match vm.step(globals)? {
@@ -375,7 +405,7 @@ impl<'m> Machine<'m> {
                 StepOutcome::Finished(_) => return Ok(WState::Done),
                 StepOutcome::Special(p) => {
                     let name = module.intrinsics.name(p.intrinsic.0 as usize);
-                    match self.ops[p.intrinsic.0 as usize] {
+                    match program.ops[p.intrinsic.0 as usize] {
                         SpecialOp::LockAcquire
                         | SpecialOp::LockRelease
                         | SpecialOp::TxBegin
@@ -437,7 +467,7 @@ impl<'m> Machine<'m> {
     }
 }
 
-/// Runs the transformed `module` under `plan`, scheduling same-section
+/// Runs the transformed `program` under `plan`, scheduling same-section
 /// region instances with `sched`.
 ///
 /// # Errors
@@ -445,17 +475,15 @@ impl<'m> Machine<'m> {
 /// Returns a [`CheckError`] on dynamic errors, deadlock, budget
 /// exhaustion or unsupported program shapes.
 pub fn run_controlled(
-    module: &Module,
+    program: &ControlledProgram,
     plan: &ParallelPlan,
     model_cfg: &ModelConfig,
     sched: &mut dyn Scheduler,
     step_budget: u64,
 ) -> Result<ControlledOutcome, CheckError> {
-    // Declared before `machine` and the VMs so it outlives every borrow.
-    let bc = BcModule::compile(module);
+    let module = &program.module;
     let mut machine = Machine {
-        module,
-        ops: SpecialOp::decode_table(&module.intrinsics),
+        program,
         world: ModelWorld::new(model_cfg.clone()),
         budget: step_budget,
         queues: plan.queues.iter().map(|_| VecDeque::new()).collect(),
@@ -468,7 +496,7 @@ pub fn run_controlled(
         pause_world: model_cfg.pause_at_world_calls,
     };
     let mut globals = PlainGlobals::new(module);
-    let mut main = BcVm::for_name(module, &bc, "main", &[])?;
+    let mut main = BcVm::for_name(module, &program.bc, "main", &[])?;
     let mut log: Vec<RegionExec> = Vec::new();
 
     loop {
@@ -478,14 +506,14 @@ pub fn run_controlled(
             StepOutcome::Finished(_) => break,
             StepOutcome::Special(p) => {
                 let name = module.intrinsics.name(p.intrinsic.0 as usize);
-                if machine.ops[p.intrinsic.0 as usize] == SpecialOp::ParInvoke {
+                if program.ops[p.intrinsic.0 as usize] == SpecialOp::ParInvoke {
                     let section = p.args[0].as_int();
                     if section != plan.section {
                         return Err(CheckError::Unsupported(format!(
                             "section {section} has no plan"
                         )));
                     }
-                    run_section(&mut machine, &bc, plan, &mut globals, sched, &mut log)?;
+                    run_section(&mut machine, plan, &mut globals, sched, &mut log)?;
                     main.resolve_special(Value::Int(0));
                 } else if name.starts_with("__") {
                     return Err(CheckError::Unsupported(format!(
@@ -572,22 +600,18 @@ pub fn run_sequential_model(
     })
 }
 
-fn run_section<'m, 'e>(
+fn run_section<'m>(
     machine: &mut Machine<'m>,
-    bc: &'e BcModule,
     plan: &ParallelPlan,
     globals: &mut PlainGlobals,
     sched: &mut dyn Scheduler,
     log: &mut Vec<RegionExec>,
-) -> Result<(), CheckError>
-where
-    'm: 'e,
-{
-    let mut workers: Vec<CWorker<'e>> = Vec::with_capacity(plan.workers.len());
+) -> Result<(), CheckError> {
+    let mut workers: Vec<CWorker<'m>> = Vec::with_capacity(plan.workers.len());
     for (i, w) in plan.workers.iter().enumerate() {
         let mut vm = BcVm::for_name(
-            machine.module,
-            bc,
+            &machine.program.module,
+            &machine.program.bc,
             &w.func,
             &[Value::Int(w.tid), Value::Int(w.nt)],
         )?;
@@ -652,7 +676,9 @@ where
             WState::AtWorldCall { name, args } => {
                 // Execute the pending world call (the shard acquisition
                 // the worker paused at), then run to the next pause.
-                let v = machine.world.call(&machine.module.intrinsics, &name, &args);
+                let v = machine
+                    .world
+                    .call(&machine.program.module.intrinsics, &name, &args);
                 w.vm.resolve_special(v);
                 w.state = machine.run_vm(&mut w.vm, globals, false, "")?;
             }
@@ -704,9 +730,11 @@ mod tests {
         assert_eq!(rep.pick(&ready), 0);
         assert_eq!(rep.pick(&ready), 2);
         assert_eq!(rep.pick(&ready), 0, "past-end is canonical");
+        assert_eq!(rep.canonical, vec![false, true, false, true]);
         // A pinned worker that is no longer ready degrades to canonical.
         let mut rep = Replay::new(vec![Some(7)]);
         assert_eq!(rep.pick(&ready), 0);
+        assert_eq!(rep.canonical, vec![true]);
     }
 
     #[test]

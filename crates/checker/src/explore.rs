@@ -32,7 +32,7 @@
 
 use crate::exec::{
     render_interleaving, run_controlled, run_sequential_model, Canonical, Chaos, ControlledOutcome,
-    Delay, RegionExec, Reverse, RoundRobin, Scheduler,
+    ControlledProgram, Delay, RegionExec, Reverse, RoundRobin, Scheduler,
 };
 use crate::model::ModelConfig;
 use crate::pool;
@@ -385,10 +385,12 @@ impl ScheduleOutcome {
 }
 
 /// A compiled, oracle'd campaign: everything needed to run any subset of
-/// its schedules from any thread. Shared read-only across the pool.
+/// its schedules from any thread. Shared read-only across the pool. The
+/// transformed program is compiled once, here, for every schedule and
+/// shrinker replay the campaign runs.
 pub struct Campaign {
     cfg: CheckConfig,
-    module: Module,
+    program: ControlledProgram,
     plan: ParallelPlan,
     scheme: String,
     oracle: ControlledOutcome,
@@ -411,7 +413,7 @@ pub enum PreparedCampaign {
 }
 
 /// Compiles `source`, runs the sequential oracle, picks the transform
-/// under test and enumerates the schedule family.
+/// under test, compiles it to bytecode and enumerates the schedule family.
 ///
 /// # Errors
 ///
@@ -452,7 +454,7 @@ pub fn prepare_campaign(
     Ok(PreparedCampaign::Ready(Box::new(Campaign {
         specs: schedule_specs(cfg),
         cfg: cfg.clone(),
-        module,
+        program: ControlledProgram::new(module),
         plan,
         scheme,
         oracle,
@@ -498,7 +500,7 @@ impl Campaign {
         let mut model = self.cfg.model.clone();
         model.sb_window = window;
         match run_controlled(
-            &self.module,
+            &self.program,
             &self.plan,
             &model,
             sched,

@@ -44,7 +44,8 @@ pub mod shrink;
 
 pub use exec::{
     render_interleaving, run_controlled, run_sequential_model, Canonical, Chaos, CheckError,
-    ControlledOutcome, Delay, Recording, RegionExec, Replay, Reverse, RoundRobin, Scheduler,
+    ControlledOutcome, ControlledProgram, Delay, Recording, RegionExec, Replay, Reverse,
+    RoundRobin, Scheduler,
 };
 pub use explore::{
     check_source, prepare_campaign, schedule_specs, Campaign, CheckConfig, PickerSpec,

@@ -311,6 +311,7 @@ mod tests {
                     pinned: 1,
                     interleaving: "  [w1] __commset_region_0(1)\n".into(),
                     log: vec![region(1, "__commset_region_0", 1)],
+                    replays: 3,
                 }),
                 error: None,
             })),

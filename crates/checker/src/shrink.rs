@@ -14,6 +14,13 @@
 //! Everything here is deterministic — the model world and the [`Replay`]
 //! scheduler are — so shrinking the same failure twice yields the same
 //! minimal schedule, which is what makes the shrunk diagnostic goldenable.
+//!
+//! Determinism also lets the shrinker skip replays whose outcome it
+//! already knows. [`Replay`] records which of its picks returned
+//! `ready[0]`. Canonicalizing a decision whose pick in the current
+//! diverging run was already `ready[0]` — or that lies past the run's last
+//! pick — leaves every pick of the run unchanged, so the replay would be
+//! that same run: the flip is accepted without running it.
 
 use crate::exec::{render_interleaving, Recording, RegionExec, Replay};
 use crate::explore::Campaign;
@@ -32,6 +39,25 @@ pub struct ShrunkSchedule {
     pub interleaving: String,
     /// The minimal schedule's region log.
     pub log: Vec<RegionExec>,
+    /// Candidate flips the fixed-point loop actually replayed (not
+    /// rendered): flips it proved identical are not counted, nor is the
+    /// reproduction check of the recorded trace.
+    pub replays: usize,
+}
+
+/// A replay that still diverged: its region log and, per pick, whether
+/// the pick was `ready[0]`.
+struct DivergingRun {
+    log: Vec<RegionExec>,
+    canonical: Vec<bool>,
+}
+
+impl DivergingRun {
+    /// True if canonicalizing decision `i` provably replays this very
+    /// run: its pick `i` was already `ready[0]`, or it made no pick `i`.
+    fn unchanged_by_dropping(&self, i: usize) -> bool {
+        self.canonical.get(i).copied().unwrap_or(true)
+    }
 }
 
 /// Runs the decision list and reports the divergence it still produces,
@@ -41,10 +67,13 @@ fn still_diverges(
     campaign: &Campaign,
     window: Option<usize>,
     decisions: &[Option<usize>],
-) -> Option<Vec<RegionExec>> {
+) -> Option<DivergingRun> {
     let mut replay = Replay::new(decisions.to_vec());
     match campaign.run_with_scheduler(window, &mut replay) {
-        Ok((diffs, log)) if !diffs.is_empty() => Some(log),
+        Ok((diffs, log)) if !diffs.is_empty() => Some(DivergingRun {
+            log,
+            canonical: replay.canonical,
+        }),
         _ => None,
     }
 }
@@ -66,7 +95,10 @@ pub fn shrink_schedule(campaign: &Campaign, index: usize) -> Option<ShrunkSchedu
     }
 
     let mut decisions: Vec<Option<usize>> = trace.into_iter().map(Some).collect();
-    let mut log = still_diverges(campaign, spec.window, &decisions)?;
+    // Replaying the recorded trace must reproduce it (the nondeterminism
+    // guard). `run` is always the run of the current `decisions`.
+    let mut run = still_diverges(campaign, spec.window, &decisions)?;
+    let mut replays = 0;
 
     // Greedy canonicalization to a fixed point. Each pass tries to drop
     // every remaining pinned decision once; a successful drop can unlock
@@ -78,9 +110,15 @@ pub fn shrink_schedule(campaign: &Campaign, index: usize) -> Option<ShrunkSchedu
                 continue;
             }
             let saved = decisions[i].take();
+            if run.unchanged_by_dropping(i) {
+                // The replay would be `run` again, which diverges.
+                changed = true;
+                continue;
+            }
+            replays += 1;
             match still_diverges(campaign, spec.window, &decisions) {
-                Some(new_log) => {
-                    log = new_log;
+                Some(next) => {
+                    run = next;
                     changed = true;
                 }
                 None => decisions[i] = saved,
@@ -95,7 +133,8 @@ pub fn shrink_schedule(campaign: &Campaign, index: usize) -> Option<ShrunkSchedu
         from: spec.name(),
         total: decisions.len(),
         pinned: decisions.iter().filter(|d| d.is_some()).count(),
-        interleaving: render_interleaving(&log),
-        log,
+        interleaving: render_interleaving(&run.log),
+        log: run.log,
+        replays,
     })
 }

@@ -402,7 +402,7 @@ fn run(args: &Args) -> Result<(), String> {
         if let Some(path) = &args.journal {
             let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
             let report = parse_journal(&text).map_err(|e| format!("{path}: {e}"))?;
-            print!("{}", report.render_text(args.top));
+            write_stdout(&report.render_text(args.top));
             return Ok(());
         }
     }
@@ -457,20 +457,21 @@ fn run(args: &Args) -> Result<(), String> {
             if ranked.is_empty() {
                 return Err("no schedule applies; run `analyze` for why".to_string());
             }
-            println!(
-                "{:<22} {:>12} {:>8} {:>7} {:>7}",
+            let mut out = format!(
+                "{:<22} {:>12} {:>8} {:>7} {:>7}\n",
                 "schedule", "est. cost", "workers", "queues", "locks"
             );
             for (scheme, sync, _, plan) in &ranked {
-                println!(
-                    "{:<22} {:>12.0} {:>8} {:>7} {:>7}",
+                out.push_str(&format!(
+                    "{:<22} {:>12.0} {:>8} {:>7} {:>7}\n",
                     format!("{scheme} + {sync}"),
                     plan.estimated_cost,
                     plan.workers.len(),
                     plan.queues.len(),
                     plan.locks.len()
-                );
+                ));
             }
+            write_stdout(&out);
             Ok(())
         }
         "check" => {
@@ -570,9 +571,9 @@ fn run(args: &Args) -> Result<(), String> {
             // saved `--journal` view of the same run are identical.
             let jsonl = journal.to_jsonl();
             let report = parse_journal(&jsonl)?;
-            print!("{}", report.render_text(args.top));
+            write_stdout(&report.render_text(args.top));
             if let Some(t) = out.sim_time {
-                println!("total simulated time: {t} ticks");
+                write_stdout(&format!("total simulated time: {t} ticks\n"));
             }
             if let Some(path) = &args.journal_out {
                 std::fs::write(path, &jsonl).map_err(|e| format!("{path}: {e}"))?;
@@ -621,16 +622,16 @@ fn run(args: &Args) -> Result<(), String> {
                     Ok(out) => {
                         match &out.telemetry {
                             Some(report) => {
-                                print!("{}", report.render_text());
+                                write_stdout(&report.render_text());
                                 if let Some(path) = &args.trace_out {
                                     std::fs::write(path, chrome_trace_json(report))
                                         .map_err(|e| format!("{path}: {e}"))?;
                                     eprintln!("wrote Chrome trace to {path}");
                                 }
                             }
-                            None => {
-                                println!("(no telemetry: run completed on the sequential fallback)")
-                            }
+                            None => write_stdout(
+                                "(no telemetry: run completed on the sequential fallback)\n",
+                            ),
                         }
                         if args.metrics {
                             // The supervised outcome carries no registry;
@@ -640,8 +641,8 @@ fn run(args: &Args) -> Result<(), String> {
                                 .and_then(|j| parse_journal(&j.to_jsonl()).ok())
                                 .and_then(|r| r.metrics);
                             match from_journal {
-                                Some(reg) => print!("{}", reg.render_text(args.top)),
-                                None => println!("metrics:\n  (no metrics recorded)"),
+                                Some(reg) => write_stdout(&reg.render_text(args.top)),
+                                None => write_stdout("metrics:\n  (no metrics recorded)\n"),
                             }
                         }
                         if let (Some(path), Some(j)) = (&args.journal_out, &journal) {
@@ -650,17 +651,17 @@ fn run(args: &Args) -> Result<(), String> {
                             eprintln!("wrote event journal to {path}");
                         }
                         if out.recovery.is_clean() {
-                            println!(
-                                "recovery: clean ({} attempt, no retries, no degradation)",
+                            write_stdout(&format!(
+                                "recovery: clean ({} attempt, no retries, no degradation)\n",
                                 out.recovery.attempts
-                            );
+                            ));
                         } else {
-                            print!("{}", out.recovery.render_text());
+                            write_stdout(&out.recovery.render_text());
                         }
                         Ok(())
                     }
                     Err(fail) => {
-                        print!("{}", fail.recovery.render_text());
+                        write_stdout(&fail.recovery.render_text());
                         // The journal of a terminally failed run is the
                         // most interesting one; save it when asked.
                         if let (Some(path), Some(j)) = (&args.journal_out, &journal) {
@@ -688,12 +689,12 @@ fn run(args: &Args) -> Result<(), String> {
                     args.real,
                     &cfg,
                 )?;
-                print!("{}", out.report.render_text());
+                write_stdout(&out.report.render_text());
                 if let Some(reg) = &out.metrics {
-                    print!("{}", reg.render_text(args.top));
+                    write_stdout(&reg.render_text(args.top));
                 }
                 if let Some(t) = out.sim_time {
-                    println!("total simulated time: {t} ticks");
+                    write_stdout(&format!("total simulated time: {t} ticks\n"));
                 }
                 if let Some(path) = &args.trace_out {
                     std::fs::write(path, chrome_trace_json(&out.report))
@@ -778,22 +779,24 @@ fn run(args: &Args) -> Result<(), String> {
 fn run_replay(args: &Args) -> Result<bool, String> {
     let bundle = FailureBundle::load(std::path::Path::new(&args.file))?;
     let out = replay_bundle(&bundle)?;
-    println!("bundle:   {}", args.file);
-    println!("program:  {}", bundle.program_path);
-    println!("rung:     {}", out.rung);
-    println!("expected: {}", out.expected);
-    match &out.observed {
-        Some(e) => println!("observed: {e}"),
-        None => println!("observed: (run succeeded)"),
-    }
-    println!(
-        "verdict:  {}",
-        if out.reproduced {
-            "REPRODUCED"
-        } else {
-            "NOT REPRODUCED"
-        }
-    );
+    let observed = match &out.observed {
+        Some(e) => e.to_string(),
+        None => "(run succeeded)".to_string(),
+    };
+    let verdict = if out.reproduced {
+        "REPRODUCED"
+    } else {
+        "NOT REPRODUCED"
+    };
+    write_stdout(&format!(
+        "bundle:   {}\n\
+         program:  {}\n\
+         rung:     {}\n\
+         expected: {}\n\
+         observed: {observed}\n\
+         verdict:  {verdict}\n",
+        args.file, bundle.program_path, out.rung, out.expected
+    ));
     Ok(out.reproduced)
 }
 

@@ -33,9 +33,9 @@ pub struct SpscQueue<T> {
     tail_cache: Cell<usize>,
     /// Consumer-private stale copy of `head`, symmetric to `tail_cache`.
     head_cache: Cell<usize>,
-    /// Failed pushes (queue observed genuinely full). One blocked
-    /// `push_blocking` increments this once per spin iteration, so the
-    /// counter doubles as a producer-side contention gauge.
+    /// Failed pushes (queue observed genuinely full). A producer retrying
+    /// a full queue increments this once per attempt, so the counter
+    /// doubles as a producer-side contention gauge.
     full_spins: AtomicU64,
     /// Failed pops (queue observed genuinely empty), symmetric.
     empty_spins: AtomicU64,
@@ -198,54 +198,6 @@ impl<T: Copy> SpscQueue<T> {
         )
     }
 
-    /// Pushes, spinning while full.
-    pub fn push_blocking(&self, v: T) {
-        let mut v = v;
-        let mut spins = 0u32;
-        loop {
-            match self.try_push(v) {
-                Ok(()) => return,
-                Err(back) => {
-                    v = back;
-                    backoff(&mut spins);
-                }
-            }
-        }
-    }
-
-    /// Pops, spinning while empty.
-    pub fn pop_blocking(&self) -> T {
-        let mut spins = 0u32;
-        loop {
-            if let Some(v) = self.try_pop() {
-                return v;
-            }
-            backoff(&mut spins);
-        }
-    }
-
-    /// Pushes, spinning while full, unless `cancel` becomes true.
-    ///
-    /// Returns `Err(v)` with the unsent value when canceled — the
-    /// containment path for a producer whose consumer died.
-    pub fn push_canceling(&self, v: T, cancel: &std::sync::atomic::AtomicBool) -> Result<(), T> {
-        use std::sync::atomic::Ordering;
-        let mut v = v;
-        let mut spins = 0u32;
-        loop {
-            match self.try_push(v) {
-                Ok(()) => return Ok(()),
-                Err(back) => {
-                    if cancel.load(Ordering::Relaxed) {
-                        return Err(back);
-                    }
-                    v = back;
-                    backoff(&mut spins);
-                }
-            }
-        }
-    }
-
     /// Pops, spinning while empty, unless `cancel` becomes true.
     ///
     /// Returns `None` when canceled — the containment path for a consumer
@@ -288,6 +240,7 @@ fn backoff(spins: &mut u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
 
     #[test]
@@ -316,26 +269,38 @@ mod tests {
         }
     }
 
+    /// Publishes `vs` with `push_n`, yielding while the queue is full —
+    /// the thread executor's producer side (`flush_staged`).
+    fn push_all(q: &SpscQueue<u64>, vs: &[u64]) {
+        let mut sent = 0;
+        while sent < vs.len() {
+            sent += q.push_n(&vs[sent..]);
+            if sent < vs.len() {
+                std::thread::yield_now();
+            }
+        }
+    }
+
     #[test]
     fn cross_thread_transfer_preserves_order_and_count() {
+        // The thread executor's queue calls: one-value `push_n` publishes
+        // on the producer, blocking `pop_canceling` on the consumer.
         let q = Arc::new(SpscQueue::new(8));
         let n = 10_000u64;
         let producer = {
             let q = Arc::clone(&q);
             std::thread::spawn(move || {
                 for i in 0..n {
-                    q.push_blocking(i);
+                    push_all(&q, &[i]);
                 }
             })
         };
         let consumer = {
             let q = Arc::clone(&q);
             std::thread::spawn(move || {
-                let mut expected = 0u64;
-                while expected < n {
-                    let v = q.pop_blocking();
-                    assert_eq!(v, expected);
-                    expected += 1;
+                let cancel = AtomicBool::new(false);
+                for expected in 0..n {
+                    assert_eq!(q.pop_canceling(&cancel), Some(expected));
                 }
             })
         };
@@ -418,8 +383,9 @@ mod tests {
         assert_eq!(q.pop_n(&mut out, 0), 0, "zero max is a no-op");
     }
 
-    /// Seeded stress: a producer mixing `push_n` batches with scalar
-    /// pushes races a consumer mixing `pop_n` with scalar pops, across a
+    /// Seeded stress on the thread executor's queue calls: a producer
+    /// mixing `push_n` batches with one-value publishes races a consumer
+    /// mixing `pop_n` batches with blocking `pop_canceling` pops, across a
     /// small ring that forces constant wrap-around. The stream must come
     /// out exact: in order, nothing lost, nothing duplicated.
     #[test]
@@ -434,41 +400,29 @@ mod tests {
                     let mut rng = SplitMix64::new(seed);
                     let mut i = 0u64;
                     while i < n {
-                        match rng.next_u64() % 3 {
-                            0 => {
-                                // Scalar blocking push.
-                                q.push_blocking(i);
-                                i += 1;
-                            }
-                            _ => {
-                                // Batch: retry the unsent suffix.
-                                let take = (1 + rng.next_u64() % 5).min(n - i);
-                                let batch: Vec<u64> = (i..i + take).collect();
-                                let mut sent = 0;
-                                loop {
-                                    sent += q.push_n(&batch[sent..]);
-                                    if sent == batch.len() {
-                                        break;
-                                    }
-                                    std::thread::yield_now();
-                                }
-                                i += take;
-                            }
-                        }
+                        // One value a third of the time, else a batch.
+                        let take = match rng.next_u64() % 3 {
+                            0 => 1,
+                            _ => (1 + rng.next_u64() % 5).min(n - i),
+                        };
+                        let batch: Vec<u64> = (i..i + take).collect();
+                        push_all(&q, &batch);
+                        i += take;
                     }
                 })
             };
             let consumer = {
                 let q = Arc::clone(&q);
                 std::thread::spawn(move || {
+                    let cancel = AtomicBool::new(false);
                     let mut rng = SplitMix64::new(seed ^ 0xc0ffee);
                     let mut expected = 0u64;
                     let mut buf = Vec::new();
                     while expected < n {
                         match rng.next_u64() % 3 {
                             0 => {
-                                let v = q.pop_blocking();
-                                assert_eq!(v, expected);
+                                let v = q.pop_canceling(&cancel);
+                                assert_eq!(v, Some(expected), "seed {seed:#x}");
                                 expected += 1;
                             }
                             _ => {
@@ -491,30 +445,26 @@ mod tests {
 
     #[test]
     fn canceling_ops_unblock_and_report() {
-        use std::sync::atomic::{AtomicBool, Ordering};
         let q = Arc::new(SpscQueue::<u64>::new(2));
         let cancel = Arc::new(AtomicBool::new(false));
-        // Fill the queue so the producer must block.
-        q.try_push(1).unwrap();
-        q.try_push(2).unwrap();
-        let producer = {
+        // A consumer blocked on the empty queue returns `None` once
+        // canceled — the containment path for a consumer whose producer
+        // died.
+        let consumer = {
             let q = Arc::clone(&q);
             let cancel = Arc::clone(&cancel);
-            std::thread::spawn(move || q.push_canceling(3, &cancel))
+            std::thread::spawn(move || q.pop_canceling(&cancel))
         };
         std::thread::sleep(std::time::Duration::from_millis(20));
         cancel.store(true, Ordering::Relaxed);
-        assert_eq!(
-            producer.join().unwrap(),
-            Err(3),
-            "canceled push returns the value"
-        );
-        // Consumer side: empty queue + cancel → None.
-        assert_eq!(q.drain(), 2);
+        assert_eq!(consumer.join().unwrap(), None, "canceled pop gives up");
+        // Queued data still wins over a raised cancel flag.
+        q.try_push(7).unwrap();
+        assert_eq!(q.pop_canceling(&cancel), Some(7));
         assert_eq!(q.pop_canceling(&cancel), None);
-        // Uncanceled fast paths still work.
+        // Uncanceled fast path.
         cancel.store(false, Ordering::Relaxed);
-        q.push_canceling(9, &cancel).unwrap();
+        q.try_push(9).unwrap();
         assert_eq!(q.pop_canceling(&cancel), Some(9));
     }
 }

@@ -112,29 +112,6 @@ impl Condvar {
     }
 }
 
-/// A readers-writer lock that recovers from poisoning.
-#[derive(Debug, Default)]
-pub struct RwLock<T: ?Sized>(std::sync::RwLock<T>);
-
-impl<T> RwLock<T> {
-    /// Creates the lock.
-    pub const fn new(value: T) -> Self {
-        RwLock(std::sync::RwLock::new(value))
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquires the shared side, recovering from poisoning.
-    pub fn read(&self) -> std::sync::RwLockReadGuard<'_, T> {
-        self.0.read().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Acquires the exclusive side, recovering from poisoning.
-    pub fn write(&self) -> std::sync::RwLockWriteGuard<'_, T> {
-        self.0.write().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,19 +177,5 @@ mod tests {
             .1
             .wait_timeout(&mut g, std::time::Duration::from_millis(10));
         assert!(!signaled, "nobody notifies; must time out");
-    }
-
-    #[test]
-    fn rwlock_poison_recovery() {
-        let l = Arc::new(RwLock::new(3u32));
-        let l2 = Arc::clone(&l);
-        let _ = std::thread::spawn(move || {
-            let _g = l2.write();
-            panic!("poison");
-        })
-        .join();
-        assert_eq!(*l.read(), 3);
-        *l.write() = 4;
-        assert_eq!(*l.read(), 4);
     }
 }
