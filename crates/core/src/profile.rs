@@ -3,15 +3,15 @@
 //! [`RunReport`] (stage balance, lock contention by rank, queue traffic,
 //! unified counters) without the user writing any intrinsic handlers.
 //!
-//! The synthetic world mirrors the dynamic checker's abstract model
-//! ([`commset-checker`]'s `ModelWorld`): return values are pure hash
-//! functions of `(intrinsic, args)`, handle allocators yield deterministic
-//! fresh handles, argument-less effect-free size queries return the
-//! sidecar's `model size` (default 6) as the loop bound, and int-returning
-//! writers of a per-instance channel model `fread`-style streams — `1` for
-//! `model stream` calls per instance key (default 3), then `0`. Costs come
-//! from the effects sidecar's `cost=` rows, so the DES profile reflects
-//! the declared workload shape.
+//! The synthetic world *is* the dynamic checker's abstract model: every
+//! call goes to one [`ModelWorld`] configured from the sidecar
+//! ([`EffectsSpec::checker_config`]), so profile runs and check runs agree
+//! on every modeled return value — hashes of `(intrinsic, args)`,
+//! deterministic fresh handles, the `model size` loop bound, `model
+//! stream` per-instance countdowns, and visible-write counts for
+//! int-returning readers of `commutative` channels. Costs come from the
+//! effects sidecar's `cost=` rows, so the DES profile reflects the
+//! declared workload shape.
 //!
 //! Two backends:
 //!
@@ -22,99 +22,42 @@
 
 use crate::spec::EffectsSpec;
 use crate::{Analysis, Compiler, Scheme, SyncMode};
+use commset_checker::ModelWorld;
 use commset_interp::{run_simulated_with, run_threaded_with, ExecConfig};
 use commset_ir::IntrinsicTable;
-use commset_lang::ast::Type;
 use commset_runtime::intrinsics::{IntrinsicOutcome, Registry};
-use commset_runtime::{Value, World};
+use commset_runtime::World;
 use commset_sim::CostModel;
 use commset_telemetry::RunReport;
-use std::collections::BTreeMap;
+use std::sync::Arc;
 
-/// World slot holding the per-instance stream countdowns.
-const STREAMS_SLOT: &str = "__profile_streams";
+/// World slot holding the model world, created at the first call.
+const MODEL_SLOT: &str = "__profile_model";
 
-type Streams = BTreeMap<(String, i64), i64>;
-
-/// Splittable 64-bit mixer (same finalizer as `SplitMix64`, and the same
-/// hash the checker's model world uses, so profile runs and check runs
-/// agree on every modeled return value).
-fn mix64(mut x: u64) -> u64 {
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-fn hash_call(name: &str, args: &[Value]) -> u64 {
-    let mut h: u64 = 0x9e37_79b9_7f4a_7c15;
-    for b in name.bytes() {
-        h = mix64(h ^ u64::from(b));
-    }
-    for a in args {
-        let bits = match a {
-            Value::Int(i) => *i as u64,
-            Value::Float(f) => f.to_bits(),
-        };
-        h = mix64(h ^ bits);
-    }
-    h
-}
-
-/// Builds a handler registry for every intrinsic in `table`, with the
-/// checker-model semantics described in the module docs.
+/// Builds a handler registry for every intrinsic in `table` that
+/// forwards each call to the checker's [`ModelWorld`], configured from
+/// `spec`.
 pub fn synthetic_registry(table: &IntrinsicTable, spec: &EffectsSpec) -> Registry {
-    let size = spec.model_size.unwrap_or(6);
-    let stream_len = spec.model_stream.unwrap_or(3);
+    let model = Arc::new((table.clone(), spec.checker_config().model));
     let mut reg = Registry::new();
-    for (name, sig) in table.iter() {
-        let owned = name.to_string();
-        let fresh = table.is_fresh_handle(name);
-        let ret = sig.ret;
-        let size_query = ret == Type::Int && sig.params.is_empty() && sig.writes.is_empty();
-        // Stream modeling: an int-returning intrinsic that writes a
-        // per-instance channel, keyed by its first argument.
-        let stream_chan = (ret == Type::Int && !sig.params.is_empty())
-            .then(|| {
-                sig.writes
-                    .iter()
-                    .find(|c| table.is_per_instance(**c))
-                    .map(|c| table.channels.name(*c).to_string())
-            })
-            .flatten();
-        reg.register(name, move |world: &mut World, args: &[Value]| {
-            let h = hash_call(&owned, args);
-            let value = if fresh {
-                Value::Int((h & 0x3fff_ffff) as i64 | 1)
-            } else if let Some(chan) = &stream_chan {
-                let key = args.first().map(|v| v.as_int()).unwrap_or(0);
-                let streams = world.get_mut::<Streams>(STREAMS_SLOT);
-                let remaining = streams.entry((chan.clone(), key)).or_insert(stream_len);
-                let v = i64::from(*remaining > 0);
-                if *remaining > 0 {
-                    *remaining -= 1;
-                }
-                Value::Int(v)
-            } else {
-                match ret {
-                    Type::Void => Value::Int(0),
-                    Type::Float => Value::Float((h % 1000) as f64),
-                    Type::Int if size_query => Value::Int(size),
-                    _ => Value::Int((h % 1009) as i64),
-                }
-            };
-            IntrinsicOutcome::value(value)
+    for (name, _) in table.iter() {
+        let (owned, model) = (name.to_string(), Arc::clone(&model));
+        reg.register(name, move |world: &mut World, args| {
+            let (table, cfg) = &*model;
+            let m = world
+                .get_mut::<Option<ModelWorld>>(MODEL_SLOT)
+                .get_or_insert_with(|| ModelWorld::new(cfg.clone()));
+            IntrinsicOutcome::value(m.call(table, &owned, args))
         });
     }
     reg
 }
 
-/// A fresh world carrying the stream-countdown slot the synthetic
-/// registry's handlers expect.
+/// A fresh world carrying the slot the synthetic registry's handlers
+/// keep their model world in.
 pub fn synthetic_world() -> World {
     let mut w = World::new();
-    w.install(STREAMS_SLOT, Streams::new());
+    w.install(MODEL_SLOT, None::<ModelWorld>);
     w
 }
 
@@ -214,6 +157,8 @@ pub fn run_profile_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use commset_lang::ast::Type;
+    use commset_runtime::Value;
 
     fn table_and_spec() -> (IntrinsicTable, EffectsSpec) {
         let mut t = IntrinsicTable::new();
@@ -229,8 +174,14 @@ mod tests {
             120,
         );
         t.register("emit", vec![Type::Int], Type::Void, &[], &["CONSOLE"], 40);
+        t.register("tally", vec![Type::Int], Type::Void, &[], &["HIST"], 10);
+        t.register("bucket", vec![Type::Int], Type::Int, &["HIST"], &[], 10);
         t.mark_per_instance("FS");
-        (t, EffectsSpec::default())
+        let spec = EffectsSpec {
+            commutative: vec!["HIST".into()],
+            ..EffectsSpec::default()
+        };
+        (t, spec)
     }
 
     #[test]
@@ -264,6 +215,15 @@ mod tests {
         assert_eq!(
             reg.call("emit", &mut w, &[Value::Int(3)]).value,
             Value::Int(0)
+        );
+        // An int-returning reader of a commutative channel observes the
+        // writes visible to it, exactly as under `commsetc check`.
+        for k in 0..2 {
+            reg.call("tally", &mut w, &[Value::Int(k)]);
+        }
+        assert_eq!(
+            reg.call("bucket", &mut w, &[Value::Int(5)]).value,
+            Value::Int(2)
         );
     }
 

@@ -1,7 +1,6 @@
 //! Executor configuration: fault injection, STM retry discipline, the
-//! waits-for watchdog and trace recording.
+//! waits-for watchdog and observability.
 
-use crate::trace::TraceSink;
 use commset_runtime::{BackoffPolicy, FaultPlan};
 
 /// Which shared-world implementation the real-thread executor uses.
@@ -44,10 +43,6 @@ pub struct ExecConfig {
     pub backoff: BackoffPolicy,
     /// Run the waits-for-graph watchdog; on by default.
     pub watchdog: bool,
-    /// When set, the executors record commutative-region entries/exits,
-    /// lock and queue events and world-intrinsic calls into this sink
-    /// (see [`crate::trace`]); off (`None`) by default.
-    pub trace: Option<TraceSink>,
     /// Shared-world implementation for the real-thread executor
     /// ([`WorldMode::Auto`] by default).
     pub world: WorldMode,
@@ -59,9 +54,9 @@ pub struct ExecConfig {
     pub queue_batch: usize,
     /// Collect span-based telemetry (region timings, lock waits vs holds
     /// keyed by rank, queue blocking, STM windows) and attach a built
-    /// `commset_telemetry::RunReport` to the outcome. Off by default; when
-    /// off the executors consult only this flag, so runs pay no telemetry
-    /// cost.
+    /// `commset_telemetry::RunReport`, carrying the run's trace, to the
+    /// outcome. Off by default; when off (and `metrics` is off) every
+    /// event site makes one check and records nothing.
     pub telemetry: bool,
     /// Per-section deadline in milliseconds; `None` (the default) runs
     /// unbounded. In the real-thread executor a monitor waits out the
@@ -90,7 +85,6 @@ impl Default for ExecConfig {
             fault: FaultPlan::none(),
             backoff: BackoffPolicy::default(),
             watchdog: true,
-            trace: None,
             world: WorldMode::Auto,
             queue_batch: 8,
             telemetry: false,
@@ -111,14 +105,6 @@ impl ExecConfig {
     pub fn with_fault(fault: FaultPlan) -> Self {
         ExecConfig {
             fault,
-            ..Default::default()
-        }
-    }
-
-    /// A configuration recording into `trace`, no faults, watchdog on.
-    pub fn with_trace(trace: TraceSink) -> Self {
-        ExecConfig {
-            trace: Some(trace),
             ..Default::default()
         }
     }

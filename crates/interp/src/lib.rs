@@ -29,24 +29,23 @@
 //!   errors, executor-contract violations and parallel-runtime failures
 //!   surface as `Result::Err`, never as panics.
 //! * [`config`] — the shared [`config::ExecConfig`] knob set (fault
-//!   injection, STM retry discipline, waits-for watchdog, trace sink,
-//!   telemetry).
+//!   injection, STM retry discipline, waits-for watchdog, telemetry).
 //! * [`supervise`] — the self-healing execution supervisor: per-section
 //!   deadlines, transient-failure retry with backoff, a degradation ladder
 //!   (sharded → single lock → thread halving → sequential) with
 //!   oracle-validated degraded results, and replayable failure bundles.
 //! * [`bundle`] — the `.repro.json` failure-bundle format (and the small
 //!   JSON reader it needs), consumed by `commsetc replay`.
-//! * [`trace`] — deterministic execution-trace recording
-//!   ([`trace::TraceSink`]): region entries/exits, lock ranks, queue
-//!   operations and world-intrinsic calls, consumed by the
-//!   commutativity checker and the differential tests.
 //!
-//! Both parallel executors also support span-based profiling: with
+//! Both parallel executors record one observability event stream
+//! ([`commset_telemetry::event`]): each lock, queue, transaction, region
+//! and world-call event once, behind one check. With
 //! `ExecConfig::telemetry` on, the outcome carries a
 //! [`commset_telemetry::RunReport`] (stage balance, lock contention by
-//! rank, queue traffic, unified counters) built from monotonic-nanosecond
-//! spans on real threads and deterministic ticks under the DES.
+//! rank, queue traffic, unified counters, and the run's trace) projected
+//! from it, in monotonic nanoseconds on real threads and deterministic
+//! ticks under the DES; with `ExecConfig::metrics` on, the metric
+//! families are projected from the same events.
 
 pub mod bundle;
 pub mod bytecode;
@@ -59,7 +58,6 @@ pub mod sim_exec;
 pub mod special;
 pub mod supervise;
 pub mod thread_exec;
-pub mod trace;
 pub mod vm;
 
 pub use bundle::FailureBundle;
@@ -75,5 +73,4 @@ pub use supervise::{
     SupervisedFailure, SupervisedOutcome, Validator,
 };
 pub use thread_exec::{run_threaded, run_threaded_with, ThreadOutcome, ThreadStats};
-pub use trace::{TraceEvent, TraceRecord, TraceSink};
 pub use vm::{CallEvent, OobError, StepOutcome, Vm};

@@ -36,7 +36,6 @@ use crate::error::ExecError;
 use crate::globals::PlainGlobals;
 use crate::metrics::MetricsLocal;
 use crate::special::SpecialOp;
-use crate::trace::{TraceEvent, TraceSink};
 use crate::vm::{PendingSpecial, StepOutcome};
 use commset_ir::{ChannelId, EffectSig, Module};
 use commset_runtime::intrinsics::Handler;
@@ -47,8 +46,8 @@ use commset_runtime::{
 use commset_sim::lock::AcquireOutcome;
 use commset_sim::{CostModel, PopOutcome, PushOutcome, SimLock, SimLockKind, SimQueue, TmModel};
 use commset_telemetry::{
-    ClockUnit, JournalEvent, MetricsRegistry, RunCounters, RunReport, SectionMeta, SpanKind,
-    SpanRecord, TelemetrySink,
+    ClockUnit, EventKind, EventLog, JournalEvent, MetricsRegistry, Projection, RunCounters,
+    RunReport, SectionMeta,
 };
 use commset_transform::{ParallelPlan, SyncMode};
 use std::collections::HashMap;
@@ -99,47 +98,23 @@ pub struct SimOutcome {
     pub metrics: Option<MetricsRegistry>,
 }
 
-/// Run-wide metrics accumulation: a no-op (one bool check per call) when
-/// the metrics registry is off. The DES is single-threaded, so one local
-/// accumulator serves every virtual worker and there is no sink.
-struct SimMetrics {
-    on: bool,
-    reg: MetricsRegistry,
-    local: MetricsLocal,
+/// Run-wide observability. The DES is single-threaded, so one event log
+/// serves every virtual worker of the current section, and one local
+/// accumulator takes every retired op.
+struct Observed {
+    /// The current section's events in emission order; `log.on` is the
+    /// check every event site makes.
+    log: EventLog,
+    /// Spans, trace and metric families of the finished sections.
+    proj: Projection,
+    /// Opcode and block retires, when metrics are on.
+    retires: Option<MetricsLocal>,
 }
 
-impl SimMetrics {
+impl Observed {
     fn retire(&mut self, bc: &BcModule, site: Option<(u32, u32)>, cost: u64) {
-        if let Some(site) = site {
-            self.local.retire(bc, site, cost);
-        }
-    }
-
-    fn observe(&mut self, name: &str, v: u64) {
-        if self.on {
-            self.reg.observe(name, v);
-        }
-    }
-}
-
-/// Per-section span collection: a no-op (one bool check per call) when
-/// telemetry is off.
-struct SectionTelemetry {
-    on: bool,
-    sec: usize,
-    spans: Vec<SpanRecord>,
-}
-
-impl SectionTelemetry {
-    fn span(&mut self, worker: usize, start: u64, end: u64, kind: SpanKind) {
-        if self.on {
-            self.spans.push(SpanRecord {
-                section: self.sec,
-                worker,
-                start,
-                end,
-                kind,
-            });
+        if let (Some(r), Some(site)) = (self.retires.as_mut(), site) {
+            r.retire(bc, site, cost);
         }
     }
 }
@@ -196,9 +171,9 @@ struct RunCtx<'a> {
     injector: &'a FaultInjector,
     /// Indexed by `IntrinsicId`.
     intrinsics: Vec<Decoded<'a>>,
-    /// `channel_wait.<channel>` metric keys indexed by channel id; empty
-    /// when metrics are off.
-    channel_wait_keys: Vec<String>,
+    /// Channel names indexed by channel id; empty when observability is
+    /// off.
+    channel_names: Vec<String>,
 }
 
 impl<'a> RunCtx<'a> {
@@ -234,12 +209,9 @@ impl<'a> RunCtx<'a> {
                 shared_writes: shared(&[&sig.writes]),
             })
             .collect();
-        let channel_wait_keys = if cfg.metrics {
+        let channel_names = if cfg.telemetry || cfg.metrics {
             (0..table.channels.len())
-                .map(|c| {
-                    let name = table.channels.name(ChannelId(c as u32));
-                    format!("channel_wait.{name}")
-                })
+                .map(|c| table.channels.name(ChannelId(c as u32)).to_string())
                 .collect()
         } else {
             Vec::new()
@@ -252,7 +224,7 @@ impl<'a> RunCtx<'a> {
             cfg,
             injector,
             intrinsics,
-            channel_wait_keys,
+            channel_names,
         }
     }
 
@@ -304,22 +276,21 @@ pub fn run_simulated_with(
     let mut vm = BcVm::for_name(module, &bc, "main", &[])?;
     let mut sim_time: u64 = 0;
     let mut stats = SimStats::default();
-    let sink = cfg.telemetry.then(TelemetrySink::new);
-    let mut mx = SimMetrics {
-        on: cfg.metrics,
-        reg: MetricsRegistry::new(),
-        local: MetricsLocal::new(),
+    let mut obs = Observed {
+        log: EventLog::new(cfg.telemetry || cfg.metrics),
+        proj: Projection::new(ClockUnit::Ticks, cfg.telemetry),
+        retires: cfg.metrics.then(MetricsLocal::new),
     };
     let mut metas: Vec<SectionMeta> = Vec::new();
     let mut next_ord = 0usize;
     loop {
         // Sampled before the step so a retired op attributes to the site
         // that produced it; `None` when metrics are off.
-        let site = if mx.on { vm.site() } else { None };
+        let site = obs.retires.as_ref().and_then(|_| vm.site());
         match vm.step(&mut globals)? {
             StepOutcome::Ran { cost } => {
                 sim_time += cost * cm.inst;
-                mx.retire(&bc, site, cost);
+                obs.retire(&bc, site, cost);
             }
             StepOutcome::Special(p) => {
                 let d = ctx.decoded(&p);
@@ -329,11 +300,6 @@ pub fn run_simulated_with(
                         .iter()
                         .find(|pl| pl.section == section)
                         .ok_or(ExecError::UnknownSection { section })?;
-                    let mut telem = SectionTelemetry {
-                        on: sink.is_some(),
-                        sec: next_ord,
-                        spans: Vec::new(),
-                    };
                     next_ord += 1;
                     if let Some(j) = &cfg.journal {
                         j.record(JournalEvent {
@@ -349,8 +315,8 @@ pub fn run_simulated_with(
                         world,
                         &mut globals,
                         sim_time,
-                        &mut telem,
-                        &mut mx,
+                        next_ord - 1,
+                        &mut obs,
                     )?;
                     if let Some(j) = &cfg.journal {
                         j.record(JournalEvent {
@@ -360,9 +326,8 @@ pub fn run_simulated_with(
                     }
                     sim_time = end;
                     merge_stats(&mut stats, section_stats);
-                    if let (Some(s), Some(m)) = (sink.as_ref(), meta) {
-                        s.record_batch(telem.spans);
-                        metas.push(m);
+                    if cfg.telemetry {
+                        metas.extend(meta);
                     }
                     vm.resolve_special(Value::Int(0));
                 } else {
@@ -373,7 +338,7 @@ pub fn run_simulated_with(
             }
             StepOutcome::Finished(result) => {
                 stats.fault = injector.stats();
-                let telemetry = sink.map(|s| {
+                let telemetry = cfg.telemetry.then(|| {
                     let counters = RunCounters {
                         fault: stats.fault,
                         watchdog_checks: stats.watchdog.checks,
@@ -390,11 +355,11 @@ pub fn run_simulated_with(
                         queue_empty_spins: stats.queue_stalls,
                         queue_drained: 0,
                     };
-                    RunReport::build(ClockUnit::Ticks, s.take(), metas, counters)
+                    obs.proj.report(metas, counters)
                 });
-                let metrics = mx.on.then(|| {
-                    let mut reg = std::mem::take(&mut mx.reg);
-                    mx.local.publish(module, &bc, &mut reg);
+                let metrics = obs.retires.as_ref().map(|r| {
+                    let mut reg = std::mem::take(&mut obs.proj.metrics);
+                    r.publish(module, &bc, &mut reg);
                     reg.inc("delta.applies", stats.delta.applies);
                     reg.inc("delta.coalesces", stats.delta.coalesces);
                     reg.inc("delta.merged_slots", stats.delta.merged_slots);
@@ -438,7 +403,8 @@ fn merge_stats(into: &mut SimStats, from: SimStats) {
     merge_watchdog(&mut into.watchdog, from.watchdog);
 }
 
-fn merge_watchdog(into: &mut WatchdogReport, from: WatchdogReport) {
+/// Folds one section's watchdog findings into the run's.
+pub(crate) fn merge_watchdog(into: &mut WatchdogReport, from: WatchdogReport) {
     into.checks += from.checks;
     for c in from.cycles {
         if !into.cycles.contains(&c) {
@@ -464,16 +430,6 @@ struct Worker<'m> {
     /// True when retrying a lock acquisition after having blocked on it
     /// (pays the contention penalty).
     lock_retry: bool,
-    /// Telemetry: clock at which the current blocking wait began (a worker
-    /// blocks on at most one lock or queue endpoint at a time).
-    block_start: Option<u64>,
-    /// Telemetry: lock rank -> grant tick of the currently held lock.
-    lock_held: HashMap<usize, u64>,
-    /// Telemetry: tick at which the in-flight transaction began.
-    tx_begin_t: u64,
-    /// Telemetry: open commutative-region instances (enter seen, exit
-    /// pending), as (func, enter tick).
-    region_stack: Vec<(String, u64)>,
 }
 
 /// The scheduling decision: among the ready workers, given as
@@ -518,12 +474,6 @@ struct SectionState {
     delta_bufs: Vec<DeltaBuffer>,
     /// Lock rank -> elided under delta privatization.
     elided: Vec<bool>,
-    /// `lock_wait.<set>` metric keys by lock rank (empty when metrics
-    /// are off).
-    lock_wait_keys: Vec<String>,
-    /// `queue_occupancy.<id>` metric keys by queue index (empty when
-    /// metrics are off).
-    queue_keys: Vec<String>,
 }
 
 impl SectionState {
@@ -536,16 +486,17 @@ impl SectionState {
     }
 }
 
-/// Executes one parallel section; returns (end time, stats, telemetry
-/// metadata).
+/// Executes one parallel section, the `ord`-th of the run, and projects
+/// its events; returns (end time, stats, section metadata when
+/// observability is on).
 fn run_section<'m>(
     ctx: &RunCtx<'m>,
     plan: &ParallelPlan,
     world: &mut World,
     globals: &mut PlainGlobals,
     start: u64,
-    telem: &mut SectionTelemetry,
-    mx: &mut SimMetrics,
+    ord: usize,
+    obs: &mut Observed,
 ) -> Result<(u64, SimStats, Option<SectionMeta>), ExecError> {
     let (registry, cm, cfg, injector) = (ctx.registry, ctx.cm, ctx.cfg, ctx.injector);
     let lock_kind = match plan.sync {
@@ -606,27 +557,10 @@ fn run_section<'m>(
                     && ls.members.iter().all(|m| registry.delta_covered(m))
             })
             .collect(),
-        lock_wait_keys: if mx.on {
-            plan.locks
-                .iter()
-                .map(|l| format!("lock_wait.{}", l.set))
-                .collect()
-        } else {
-            Vec::new()
-        },
-        queue_keys: if mx.on {
-            plan.queues
-                .iter()
-                .map(|q| format!("queue_occupancy.{}", q.id))
-                .collect()
-        } else {
-            Vec::new()
-        },
         queues,
     };
 
     let spawn_t = start + cm.par_spawn;
-    let watch = cfg.trace.is_some() || telem.on;
     let mut workers: Vec<Worker<'m>> = Vec::with_capacity(plan.workers.len());
     for w in &plan.workers {
         let mut vm = BcVm::for_name(
@@ -635,7 +569,7 @@ fn run_section<'m>(
             &w.func,
             &[Value::Int(w.tid), Value::Int(w.nt)],
         )?;
-        if watch {
+        if cfg.telemetry {
             vm.watch_calls_matching("__commset_region_");
         }
         workers.push(Worker {
@@ -645,10 +579,6 @@ fn run_section<'m>(
             tx: None,
             tx_aborts: 0,
             lock_retry: false,
-            block_start: None,
-            lock_held: HashMap::new(),
-            tx_begin_t: 0,
-            region_stack: Vec::new(),
         });
     }
 
@@ -693,7 +623,7 @@ fn run_section<'m>(
                     });
                 }
             }
-            let site = if mx.on { workers[i].vm.site() } else { None };
+            let site = obs.retires.as_ref().and_then(|_| workers[i].vm.site());
             let step = workers[i]
                 .vm
                 .step(globals)
@@ -704,7 +634,7 @@ fn run_section<'m>(
             let repick = match step {
                 StepOutcome::Ran { cost } => {
                     workers[i].clock += cost * cm.inst;
-                    mx.retire(ctx.bc, site, cost);
+                    obs.retire(ctx.bc, site, cost);
                     false
                 }
                 StepOutcome::Finished(_) => {
@@ -712,12 +642,23 @@ fn run_section<'m>(
                     true
                 }
                 StepOutcome::Special(p) => {
-                    handle_special(ctx, &mut sec, world, plan, &mut workers, i, &p, telem, mx)?;
+                    handle_special(
+                        ctx,
+                        &mut sec,
+                        world,
+                        plan,
+                        &mut workers,
+                        i,
+                        &p,
+                        &mut obs.log,
+                    )?;
                     true
                 }
             };
-            if watch {
-                drain_region_events(cfg.trace.as_ref(), telem, i, &mut workers[i]);
+            if obs.log.on {
+                for ev in workers[i].vm.drain_call_events() {
+                    obs.log.record(i, workers[i].clock, ev.into());
+                }
             }
             if repick || !still_first(workers[i].clock, i, rival) {
                 break;
@@ -758,7 +699,9 @@ fn run_section<'m>(
                 None => world.install_boxed(slot, d),
             }
         }
-        mx.observe("delta.merge_slots", buf_slots);
+        if ctx.cfg.metrics {
+            obs.proj.metrics.observe("delta.merge_slots", buf_slots);
+        }
     }
 
     let end = workers
@@ -768,12 +711,13 @@ fn run_section<'m>(
         .unwrap_or(start)
         .max(start)
         + cm.par_spawn;
-    let meta = if telem.on {
+    let meta = if obs.log.on {
         for (k, w) in workers.iter().enumerate() {
-            telem.span(k, spawn_t, w.clock, SpanKind::Worker);
+            let exit = EventKind::WorkerExit { spawned: spawn_t };
+            obs.log.record(k, w.clock, exit);
         }
-        Some(SectionMeta {
-            section: telem.sec,
+        let meta = SectionMeta {
+            section: ord,
             stage_desc: plan.stage_desc.clone(),
             worker_stage: plan.workers.iter().map(|w| w.stage).collect(),
             locks: plan.locks.iter().map(|l| l.set.clone()).collect(),
@@ -782,7 +726,9 @@ fn run_section<'m>(
             // empty spins, the full side has no modeled counter.
             queue_spins: sec.queues.iter().map(|q| (0, q.empty_pops)).collect(),
             span: (start, end),
-        })
+        };
+        obs.proj.section(&meta, &ctx.channel_names, obs.log.take());
+        Some(meta)
     } else {
         None
     };
@@ -805,37 +751,6 @@ fn run_section<'m>(
     Ok((end, stats, meta))
 }
 
-/// Converts a worker VM's buffered call-boundary events into trace
-/// records and telemetry region spans at the worker's current clock.
-fn drain_region_events(
-    trace: Option<&TraceSink>,
-    telem: &mut SectionTelemetry,
-    i: usize,
-    w: &mut Worker<'_>,
-) {
-    let clock = w.clock;
-    for ev in w.vm.drain_call_events() {
-        if telem.on {
-            if ev.enter {
-                w.region_stack.push((ev.func.clone(), clock));
-            } else if let Some((f, t0)) = w.region_stack.pop() {
-                telem.span(i, t0, clock, SpanKind::Region { func: f });
-            }
-        }
-        if let Some(tr) = trace {
-            let event = if ev.enter {
-                TraceEvent::RegionEnter {
-                    func: ev.func,
-                    args: ev.args,
-                }
-            } else {
-                TraceEvent::RegionExit { func: ev.func }
-            };
-            tr.record(i, clock, event);
-        }
-    }
-}
-
 #[allow(clippy::too_many_arguments)]
 fn handle_special(
     ctx: &RunCtx<'_>,
@@ -845,8 +760,7 @@ fn handle_special(
     workers: &mut [Worker<'_>],
     i: usize,
     p: &PendingSpecial,
-    telem: &mut SectionTelemetry,
-    mx: &mut SimMetrics,
+    log: &mut EventLog,
 ) -> Result<(), ExecError> {
     let (cm, cfg, injector) = (ctx.cm, ctx.cfg, ctx.injector);
     let d = ctx.decoded(p);
@@ -881,31 +795,23 @@ fn handle_special(
                     if let Some(wd) = &sec.watchdog {
                         wd.acquired(i, l);
                     }
-                    let wait_from = workers[i].block_start.take().unwrap_or(t);
-                    if grant > wait_from {
-                        if telem.on {
-                            telem.span(i, wait_from, grant, SpanKind::LockWait { rank: l });
-                        }
-                        if mx.on {
-                            mx.observe(&sec.lock_wait_keys[l], grant - wait_from);
-                        }
-                    }
                     workers[i].clock = grant + injector.lock_grant_delay();
-                    if telem.on {
-                        let held_from = workers[i].clock;
-                        workers[i].lock_held.insert(l, held_from);
+                    if log.on {
+                        let acquire = EventKind::LockAcquire {
+                            rank: l,
+                            attempt: t,
+                            granted: grant,
+                        };
+                        log.record(i, workers[i].clock, acquire);
                     }
                     workers[i].vm.resolve_special(Value::Int(0));
-                    if let Some(tr) = &cfg.trace {
-                        tr.record(i, workers[i].clock, TraceEvent::LockAcquire { lock: l });
-                    }
                 }
                 AcquireOutcome::Held => {
                     if !was_blocked {
                         sec.locks[l].pending += 1;
                         workers[i].lock_retry = true;
-                        if telem.on || mx.on {
-                            workers[i].block_start = Some(t);
+                        if log.on {
+                            log.record(i, t, EventKind::Block);
                         }
                     }
                     workers[i].vm.retry_special_later();
@@ -920,19 +826,15 @@ fn handle_special(
                 return Ok(());
             }
             let t = workers[i].clock;
-            if telem.on {
-                if let Some(t0) = workers[i].lock_held.remove(&l) {
-                    telem.span(i, t0, t, SpanKind::LockHold { rank: l });
-                }
-            }
             workers[i].clock = sec.locks[l].release(t, cm);
             if let Some(wd) = &sec.watchdog {
                 wd.released(i, l);
             }
-            workers[i].vm.resolve_special(Value::Int(0));
-            if let Some(tr) = &cfg.trace {
-                tr.record(i, workers[i].clock, TraceEvent::LockRelease { lock: l });
+            if log.on {
+                let release = EventKind::LockRelease { rank: l, held: t };
+                log.record(i, workers[i].clock, release);
             }
+            workers[i].vm.resolve_special(Value::Int(0));
             // Wake the blocked requesters; the scheduler grants in clock
             // order, the rest re-block.
             for w in workers.iter_mut() {
@@ -949,20 +851,15 @@ fn handle_special(
             match sec.queues[q].push(workers[i].clock, bits, cm) {
                 PushOutcome::Pushed(t) => {
                     workers[i].clock = t;
-                    let qid = p.args[0].as_int();
-                    if telem.on {
-                        if let Some(bs) = workers[i].block_start.take() {
-                            telem.span(i, bs, attempt, SpanKind::QueuePushWait { queue: qid });
-                        }
-                        telem.span(i, t, t, SpanKind::QueuePush { queue: qid });
-                    }
-                    if mx.on {
-                        mx.observe(&sec.queue_keys[q], sec.queues[q].len() as u64);
+                    if log.on {
+                        let push = EventKind::QueuePush {
+                            queue: p.args[0].as_int(),
+                            attempt,
+                            occupancy: sec.queues[q].len() as u64,
+                        };
+                        log.record(i, t, push);
                     }
                     workers[i].vm.resolve_special(Value::Int(0));
-                    if let Some(tr) = &cfg.trace {
-                        tr.record(i, workers[i].clock, TraceEvent::QueuePush { queue: qid });
-                    }
                     // Wake a consumer blocked on this queue.
                     for w in workers.iter_mut() {
                         if w.status == WStatus::BlockedPop(q) {
@@ -971,8 +868,8 @@ fn handle_special(
                     }
                 }
                 PushOutcome::Full => {
-                    if telem.on && workers[i].block_start.is_none() {
-                        workers[i].block_start = Some(attempt);
+                    if log.on {
+                        log.record(i, attempt, EventKind::Block);
                     }
                     workers[i].vm.retry_special_later();
                     workers[i].status = WStatus::BlockedPush(q);
@@ -986,20 +883,15 @@ fn handle_special(
             match sec.queues[q].pop(workers[i].clock, cm) {
                 PopOutcome::Popped(bits, t) => {
                     workers[i].clock = t;
-                    let qid = p.args[0].as_int();
-                    if telem.on {
-                        if let Some(bs) = workers[i].block_start.take() {
-                            telem.span(i, bs, attempt, SpanKind::QueuePopWait { queue: qid });
-                        }
-                        telem.span(i, t, t, SpanKind::QueuePop { queue: qid });
-                    }
-                    if mx.on {
-                        mx.observe(&sec.queue_keys[q], sec.queues[q].len() as u64);
+                    if log.on {
+                        let pop = EventKind::QueuePop {
+                            queue: p.args[0].as_int(),
+                            attempt,
+                            occupancy: sec.queues[q].len() as u64,
+                        };
+                        log.record(i, t, pop);
                     }
                     workers[i].vm.resolve_special(Value::from_bits(bits, float));
-                    if let Some(tr) = &cfg.trace {
-                        tr.record(i, workers[i].clock, TraceEvent::QueuePop { queue: qid });
-                    }
                     for w in workers.iter_mut() {
                         if w.status == WStatus::BlockedPush(q) {
                             w.status = WStatus::Ready;
@@ -1007,8 +899,8 @@ fn handle_special(
                     }
                 }
                 PopOutcome::Empty => {
-                    if telem.on && workers[i].block_start.is_none() {
-                        workers[i].block_start = Some(attempt);
+                    if log.on {
+                        log.record(i, attempt, EventKind::Block);
                     }
                     workers[i].vm.retry_special_later();
                     workers[i].status = WStatus::BlockedPop(q);
@@ -1020,7 +912,9 @@ fn handle_special(
             workers[i].clock = t + cm.tx_begin;
             workers[i].tx = Some(sec.tm.begin(t, cm));
             workers[i].tx_aborts = 0;
-            workers[i].tx_begin_t = t;
+            if log.on {
+                log.record(i, t, EventKind::TxBegin);
+            }
             workers[i].vm.resolve_special(Value::Int(0));
         }
         SpecialOp::TxCommit => {
@@ -1057,11 +951,11 @@ fn handle_special(
                     }
                 }
             }
-            if telem.on {
-                let aborts = workers[i].tx_aborts;
-                let t0 = workers[i].tx_begin_t;
-                let t1 = workers[i].clock;
-                telem.span(i, t0, t1, SpanKind::Tx { aborts });
+            if log.on {
+                let commit = EventKind::TxCommit {
+                    aborts: workers[i].tx_aborts,
+                };
+                log.record(i, workers[i].clock, commit);
             }
             workers[i].tx_aborts = 0;
             workers[i].vm.resolve_special(Value::Int(0));
@@ -1079,27 +973,16 @@ fn handle_special(
                 if let Some(slots) = ctx.registry.delta_route(d.name, &p.args) {
                     let out = sec.delta_bufs[i].apply(ctx.registry, d.name, &p.args, &slots);
                     let done = workers[i].clock + base + out.extra_cost;
-                    if telem.on {
-                        telem.span(
-                            i,
-                            workers[i].clock,
-                            done,
-                            SpanKind::WorldCall {
-                                intrinsic: d.name.to_string(),
-                            },
-                        );
+                    if log.on {
+                        let call = EventKind::WorldCall {
+                            intrinsic: d.name.to_string(),
+                            args: p.args.clone(),
+                            start: workers[i].clock,
+                            channel_waits: Vec::new(),
+                        };
+                        log.record(i, done, call);
                     }
                     workers[i].clock = done;
-                    if let Some(tr) = &cfg.trace {
-                        tr.record(
-                            i,
-                            done,
-                            TraceEvent::WorldCall {
-                                intrinsic: d.name.to_string(),
-                                args: p.args.clone(),
-                            },
-                        );
-                    }
                     workers[i].vm.resolve_special(out.value);
                     return Ok(());
                 }
@@ -1120,44 +1003,31 @@ fn handle_special(
                 .iter()
                 .map(|&c| sec.channel_free[c])
                 .fold(base_start, u64::max);
-            // Per-channel contention attribution: how long each serialized
-            // channel alone would have delayed this call past its ready
-            // point (passive — `start` is already settled above).
-            if mx.on && start > base_start {
-                for &c in &d.shared {
-                    let free = sec.channel_free[c];
-                    if free > base_start {
-                        mx.observe(&ctx.channel_wait_keys[c], free - base_start);
-                    }
-                }
-            }
             let done = start + ser;
+            if log.on {
+                // Per-channel contention attribution: how long each
+                // serialized channel alone would have delayed this call
+                // past its ready point (passive — `start` is settled).
+                let channel_waits = d
+                    .shared
+                    .iter()
+                    .map(|&c| (c, sec.channel_free[c].saturating_sub(base_start)))
+                    .filter(|&(_, wait)| start > base_start && wait > 0)
+                    .collect();
+                let call = EventKind::WorldCall {
+                    intrinsic: d.name.to_string(),
+                    args: p.args.clone(),
+                    start: workers[i].clock,
+                    channel_waits,
+                };
+                log.record(i, done, call);
+            }
             if ser > 0 {
                 for &c in &d.shared_writes {
                     sec.channel_free[c] = done;
                 }
             }
-            if telem.on {
-                telem.span(
-                    i,
-                    workers[i].clock,
-                    done,
-                    SpanKind::WorldCall {
-                        intrinsic: d.name.to_string(),
-                    },
-                );
-            }
             workers[i].clock = done;
-            if let Some(tr) = &cfg.trace {
-                tr.record(
-                    i,
-                    done,
-                    TraceEvent::WorldCall {
-                        intrinsic: d.name.to_string(),
-                        args: p.args.clone(),
-                    },
-                );
-            }
             if let Some(tx) = &mut workers[i].tx {
                 let channels = &ctx.module.intrinsics.channels;
                 tx.work += cost;
@@ -1187,6 +1057,7 @@ mod tests {
     use commset_lang::ast::Type;
     use commset_runtime::intrinsics::IntrinsicOutcome;
     use commset_runtime::FaultPlan;
+    use commset_telemetry::TraceEvent;
     use commset_transform::{doall, dswp};
     use std::collections::BTreeSet;
 
@@ -1393,8 +1264,10 @@ mod tests {
         let cm = CostModel::default();
         let (module, plan) = compile_doall(2, SyncMode::Spin);
         let run = || {
-            let sink = crate::trace::TraceSink::new();
-            let cfg = ExecConfig::with_trace(sink.clone());
+            let cfg = ExecConfig {
+                telemetry: true,
+                ..ExecConfig::default()
+            };
             let mut world = World::new();
             world.install("acc", 0i64);
             run_simulated_with(
@@ -1405,8 +1278,10 @@ mod tests {
                 &cm,
                 &cfg,
             )
-            .unwrap();
-            sink.take()
+            .unwrap()
+            .telemetry
+            .expect("telemetry on")
+            .trace
         };
         let recs = run();
         let enters = recs

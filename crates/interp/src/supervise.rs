@@ -455,7 +455,7 @@ fn capture_bundle(
 /// Runs the program under the recovery policy.
 ///
 /// `threads` is the initial worker count; `base_cfg` supplies the fault
-/// plan, trace/telemetry flags and starting world mode. When `validate` is
+/// plan, telemetry/metrics flags and starting world mode. When `validate` is
 /// given, every *degraded* success (any rung below the first) is checked
 /// against the sequential oracle — result values must match and the
 /// validator must accept the worlds — before it is returned.

@@ -20,8 +20,8 @@ use crate::config::{ExecConfig, WorldMode};
 use crate::error::ExecError;
 use crate::globals::{AtomicGlobals, SharedGlobals};
 use crate::metrics::MetricsLocal;
+use crate::sim_exec::merge_watchdog;
 use crate::special::SpecialOp;
-use crate::trace::{TraceEvent, TraceSink};
 use crate::vm::StepOutcome;
 use commset_ir::Module;
 use commset_runtime::intrinsics::IntrinsicOutcome;
@@ -34,8 +34,8 @@ use commset_runtime::{
     WatchdogReport, World, DELTA_POISON_MSG,
 };
 use commset_telemetry::{
-    ClockUnit, JournalEvent, MetricsRegistry, MetricsSink, RunCounters, RunReport, SectionMeta,
-    SpanKind, SpanRecord, TelemetrySink,
+    ClockUnit, Event, EventKind, EventLog, JournalEvent, MetricsRegistry, MetricsSink, Projection,
+    RunCounters, RunReport, SectionMeta,
 };
 use commset_transform::{ParallelPlan, SyncMode};
 use std::collections::{HashMap, VecDeque};
@@ -180,7 +180,7 @@ pub fn run_threaded_with(
     let mut vm = BcVm::for_name(module, &bc, "main", &[])?;
     let ops = SpecialOp::decode_table(&module.intrinsics);
     let mut stats = ThreadStats::default();
-    let sink = cfg.telemetry.then(TelemetrySink::new);
+    let mut proj = Projection::new(ClockUnit::Nanos, cfg.telemetry);
     let msink = cfg.metrics.then(MetricsSink::new);
     let mut mlocal = cfg.metrics.then(MetricsLocal::new);
     let mut metas: Vec<SectionMeta> = Vec::new();
@@ -224,7 +224,7 @@ pub fn run_threaded_with(
                         &world,
                         cfg,
                         &injector,
-                        sink.as_ref(),
+                        &mut proj,
                         msink.as_ref(),
                         start,
                         ord,
@@ -240,8 +240,8 @@ pub fn run_threaded_with(
                     stats.queue_full_spins += section_out.full_spins;
                     stats.queue_empty_spins += section_out.empty_spins;
                     stats.delta.absorb(section_out.delta);
-                    if let Some(m) = section_out.meta {
-                        metas.push(m);
+                    if cfg.telemetry {
+                        metas.extend(section_out.meta);
                     }
                     vm.resolve_special(Value::Int(0));
                 } else if op.is_runtime() {
@@ -269,14 +269,10 @@ pub fn run_threaded_with(
     };
     stats.fault = injector.stats();
     stats.shard = world.snapshot();
-    let telemetry = sink.map(|s| {
-        let spans = s.take();
+    let telemetry = cfg.telemetry.then(|| {
         // The thread executor's TM mode is pessimistic (one global lock):
-        // every Tx span is a commit, no optimistic aborts exist here.
-        let tm_commits = spans
-            .iter()
-            .filter(|sp| matches!(sp.kind, SpanKind::Tx { .. }))
-            .count() as u64;
+        // every window commits, no optimistic aborts exist here.
+        let tm_commits = proj.metrics.counters().get("tm.commits").copied();
         let counters = RunCounters {
             fault: stats.fault,
             watchdog_checks: stats.watchdog.checks,
@@ -284,17 +280,18 @@ pub fn run_threaded_with(
             max_blocked: stats.watchdog.max_blocked,
             shard: stats.shard,
             delta: stats.delta,
-            tm_commits,
+            tm_commits: tm_commits.unwrap_or(0),
             tm_aborts: 0,
             tm_fallbacks: 0,
             queue_full_spins: stats.queue_full_spins,
             queue_empty_spins: stats.queue_empty_spins,
             queue_drained: stats.queue_drained,
         };
-        RunReport::build(ClockUnit::Nanos, spans, metas, counters)
+        proj.report(metas, counters)
     });
     let metrics = msink.map(|ms| {
         let mut reg = ms.take();
+        reg.absorb(&proj.metrics);
         if let Some(ml) = mlocal.as_ref() {
             ml.publish(module, &bc, &mut reg);
         }
@@ -322,21 +319,6 @@ pub fn run_threaded_with(
         telemetry,
         metrics,
     })
-}
-
-fn merge_watchdog(into: &mut WatchdogReport, from: WatchdogReport) {
-    into.checks += from.checks;
-    for c in from.cycles {
-        if !into.cycles.contains(&c) {
-            into.cycles.push(c);
-        }
-    }
-    for v in from.rank_violations {
-        if !into.rank_violations.contains(&v) {
-            into.rank_violations.push(v);
-        }
-    }
-    into.max_blocked = into.max_blocked.max(from.max_blocked);
 }
 
 /// Shared, immutable context for one section's worker threads.
@@ -368,18 +350,19 @@ struct SectionCtx<'a> {
     /// the section in worker-index order.
     delta_out: &'a Mutex<Vec<(usize, DeltaBuffer)>>,
     watchdog: Option<&'a Watchdog>,
-    trace: Option<&'a TraceSink>,
     queue_batch: usize,
-    /// Span sink when [`ExecConfig::telemetry`] is on.
-    telemetry: Option<&'a TelemetrySink>,
+    /// [`ExecConfig::telemetry`]: workers watch region calls.
+    telemetry: bool,
+    /// Workers record events ([`ExecConfig::telemetry`] or
+    /// [`ExecConfig::metrics`]).
+    observe: bool,
+    /// Every worker's events, appended once at worker exit.
+    events: &'a Mutex<Vec<Event>>,
     /// Metrics sink when [`ExecConfig::metrics`] is on. Workers record
-    /// into private state and publish once at exit.
+    /// opcode retires into private state and publish once at exit.
     metrics: Option<&'a MetricsSink>,
-    /// CommSet set names indexed by lock rank — the `lock_wait.<SET>`
-    /// histogram keys.
-    lock_sets: &'a [String],
-    /// The run's epoch: span and trace timestamps are nanoseconds since
-    /// this instant.
+    /// The run's epoch: event timestamps are nanoseconds since this
+    /// instant.
     epoch: Instant,
     /// Ordinal of this section within the run (execution order) — the
     /// span/report section key.
@@ -396,14 +379,15 @@ struct SectionOutcome {
     /// Pops that found a queue empty.
     empty_spins: u64,
     /// Plan-derived naming + per-queue spins for the report builder
-    /// (present iff telemetry is on).
+    /// (present iff events were recorded).
     meta: Option<SectionMeta>,
     /// Delta-privatized activity of this section.
     delta: DeltaSnapshot,
 }
 
-/// Executes one parallel section; returns the watchdog report, teardown
-/// drain count and queue contention counters.
+/// Executes one parallel section and projects its events into `proj`;
+/// returns the watchdog report, teardown drain count and queue
+/// contention counters.
 #[allow(clippy::too_many_arguments)]
 fn run_section(
     module: &Module,
@@ -415,7 +399,7 @@ fn run_section(
     world: &WorldStore,
     cfg: &ExecConfig,
     injector: &FaultInjector,
-    sink: Option<&TelemetrySink>,
+    proj: &mut Projection,
     msink: Option<&MetricsSink>,
     epoch: Instant,
     section_ord: usize,
@@ -452,7 +436,7 @@ fn run_section(
                 && ls.members.iter().all(|m| registry.delta_covered(m))
         })
         .collect();
-    let lock_sets: Vec<String> = plan.locks.iter().map(|l| l.set.clone()).collect();
+    let events: Mutex<Vec<Event>> = Mutex::new(Vec::new());
     let ctx = SectionCtx {
         module,
         bc,
@@ -469,11 +453,11 @@ fn run_section(
         elided: &elided,
         delta_out: &delta_out,
         watchdog: watchdog.as_ref(),
-        trace: cfg.trace.as_ref(),
         queue_batch: cfg.queue_batch.max(1),
-        telemetry: sink,
+        telemetry: cfg.telemetry,
+        observe: cfg.telemetry || cfg.metrics,
+        events: &events,
         metrics: msink,
-        lock_sets: &lock_sets,
         epoch,
         section_ord,
     };
@@ -521,23 +505,18 @@ fn run_section(
                 let func = w.func.clone();
                 let (tid, nt) = (w.tid, w.nt);
                 scope.spawn(move || {
-                    let w_start = ctx.epoch.elapsed().as_nanos() as u64;
-                    let mut spans: Vec<SpanRecord> = Vec::new();
+                    let spawned = ctx.epoch.elapsed().as_nanos() as u64;
+                    let mut log = EventLog::new(ctx.observe);
                     let body = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        worker_loop(ctx, widx, &func, tid, nt, globals, &mut spans)
+                        worker_loop(ctx, widx, &func, tid, nt, globals, &mut log)
                     }));
-                    if let Some(sink) = ctx.telemetry {
-                        // The lifetime span is recorded here (not inside the
-                        // loop) so spans of panicked/failed workers still
-                        // reach the sink.
-                        spans.push(SpanRecord {
-                            section: ctx.section_ord,
-                            worker: widx,
-                            start: w_start,
-                            end: ctx.epoch.elapsed().as_nanos() as u64,
-                            kind: SpanKind::Worker,
-                        });
-                        sink.record_batch(std::mem::take(&mut spans));
+                    if log.on {
+                        // The exit is recorded here (not inside the loop)
+                        // so events of panicked/failed workers still
+                        // reach the section.
+                        let exit = EventKind::WorkerExit { spawned };
+                        log.record(widx, ctx.epoch.elapsed().as_nanos() as u64, exit);
+                        ctx.events.lock().extend(log.take());
                     }
                     let outcome = match body {
                         Ok(r) => r,
@@ -665,22 +644,28 @@ fn run_section(
                 cause: panic_message(&*payload),
             })?;
         }
-        if let Some(ms) = msink {
-            let mut reg = MetricsRegistry::new();
+        if msink.is_some() {
             for slots in merge_sizes {
-                reg.observe("delta.merge_slots", slots);
+                proj.metrics.observe("delta.merge_slots", slots);
             }
-            ms.publish(&reg);
         }
     }
-    let meta = sink.map(|_| SectionMeta {
-        section: section_ord,
-        stage_desc: plan.stage_desc.clone(),
-        worker_stage: plan.workers.iter().map(|w| w.stage).collect(),
-        locks: plan.locks.iter().map(|l| l.set.clone()).collect(),
-        queues: plan.queues.iter().map(|q| (q.id, q.what.clone())).collect(),
-        queue_spins,
-        span: (sec_start, epoch.elapsed().as_nanos() as u64),
+    let meta = (cfg.telemetry || cfg.metrics).then(|| {
+        let meta = SectionMeta {
+            section: section_ord,
+            stage_desc: plan.stage_desc.clone(),
+            worker_stage: plan.workers.iter().map(|w| w.stage).collect(),
+            locks: plan.locks.iter().map(|l| l.set.clone()).collect(),
+            queues: plan.queues.iter().map(|q| (q.id, q.what.clone())).collect(),
+            queue_spins,
+            span: (sec_start, epoch.elapsed().as_nanos() as u64),
+        };
+        // One section log in timestamp order; the sort is stable, so each
+        // worker's events keep their recording order.
+        let mut events = events.into_inner();
+        events.sort_by_key(|e| e.time);
+        proj.section(&meta, &[], events);
+        meta
     });
     Ok(SectionOutcome {
         watchdog: watchdog.map(|wd| wd.report()).unwrap_or_default(),
@@ -722,9 +707,8 @@ fn flush_staged(ctx: &SectionCtx<'_>, staged: &mut [Vec<u64>]) -> bool {
 
 /// One worker's execution; every failure mode returns an error.
 ///
-/// When telemetry is on, timed spans accumulate into the caller-owned
-/// `spans` buffer (published by the spawn wrapper with one batch, even
-/// when this loop errors or panics).
+/// Events accumulate into the caller-owned `log` (handed to the section
+/// by the spawn wrapper, even when this loop errors or panics).
 #[allow(clippy::too_many_arguments)]
 fn worker_loop(
     ctx: &SectionCtx<'_>,
@@ -733,39 +717,20 @@ fn worker_loop(
     tid: i64,
     nt: i64,
     mut globals: SharedGlobals,
-    spans: &mut Vec<SpanRecord>,
+    log: &mut EventLog,
 ) -> Result<(), ExecError> {
     let canceled = || ExecError::Canceled { stage: func.into() };
     let mut vm = BcVm::for_name(ctx.module, ctx.bc, func, &[Value::Int(tid), Value::Int(nt)])?;
-    let telemetry_on = ctx.telemetry.is_some();
-    // Metrics accumulate into worker-private state and publish once at
-    // normal exit; failed/canceled workers drop their partial metrics
-    // (exactly like their partial delta buffers).
-    let metrics_on = ctx.metrics.is_some();
-    let mut mloc = metrics_on.then(MetricsLocal::new);
-    let mut mreg = metrics_on.then(MetricsRegistry::new);
-    if ctx.trace.is_some() || telemetry_on {
+    // Opcode retires accumulate into worker-private state and publish
+    // once at normal exit; failed/canceled workers drop them (exactly
+    // like their partial delta buffers).
+    let mut mloc = ctx.metrics.is_some().then(MetricsLocal::new);
+    if ctx.telemetry {
         vm.watch_calls_matching("__commset_region_");
     }
-    // Monotonic timestamps for trace records and telemetry spans:
-    // nanoseconds since the run's epoch. Only evaluated at event sites,
-    // and only when tracing or telemetry is on.
+    // Event timestamps: nanoseconds since the run's epoch, evaluated only
+    // at event sites whose log is on.
     let now = || ctx.epoch.elapsed().as_nanos() as u64;
-    let sec = ctx.section_ord;
-    let span = |worker_spans: &mut Vec<SpanRecord>, start: u64, end: u64, kind: SpanKind| {
-        worker_spans.push(SpanRecord {
-            section: sec,
-            worker: widx,
-            start,
-            end,
-            kind,
-        });
-    };
-    // Open commutative-region instances (enter seen, exit pending).
-    let mut region_stack: Vec<(String, u64)> = Vec::new();
-    // Lock rank -> grant timestamp of the currently held lock.
-    let mut lock_held: HashMap<usize, u64> = HashMap::new();
-    let mut tx_start: u64 = 0;
     let mut in_tx = false;
     // DSWP queue batching: producer-side staging buffers (published with
     // one `push_n` per batch) and consumer-side refill buffers (refilled
@@ -787,35 +752,11 @@ fn worker_loop(
         }
         // Sampled before the step so a retired op attributes to the site
         // that produced it.
-        let site = if metrics_on { vm.site() } else { None };
+        let site = mloc.as_ref().and_then(|_| vm.site());
         let step = vm.step(&mut globals)?;
-        if ctx.trace.is_some() || telemetry_on {
+        if log.on {
             for ev in vm.drain_call_events() {
-                let t = now();
-                if ev.enter {
-                    if telemetry_on {
-                        region_stack.push((ev.func.clone(), t));
-                    }
-                    if let Some(tr) = ctx.trace {
-                        tr.record(
-                            widx,
-                            t,
-                            TraceEvent::RegionEnter {
-                                func: ev.func,
-                                args: ev.args,
-                            },
-                        );
-                    }
-                } else {
-                    if telemetry_on {
-                        if let Some((f, t0)) = region_stack.pop() {
-                            span(spans, t0, t, SpanKind::Region { func: f });
-                        }
-                    }
-                    if let Some(tr) = ctx.trace {
-                        tr.record(widx, t, TraceEvent::RegionExit { func: ev.func });
-                    }
-                }
+                log.record(widx, now(), ev.into());
             }
         }
         match step {
@@ -837,12 +778,10 @@ fn worker_loop(
                         ctx.delta_out.lock().push((widx, buf));
                     }
                 }
-                // Publish this worker's metrics in one batch.
-                if let Some(ms) = ctx.metrics {
-                    let mut reg = mreg.take().unwrap_or_default();
-                    if let Some(ml) = mloc.as_ref() {
-                        ml.publish(ctx.module, ctx.bc, &mut reg);
-                    }
+                // Publish this worker's retires in one batch.
+                if let (Some(ms), Some(ml)) = (ctx.metrics, mloc.as_ref()) {
+                    let mut reg = MetricsRegistry::new();
+                    ml.publish(ctx.module, ctx.bc, &mut reg);
                     ms.publish(&reg);
                 }
                 return Ok(());
@@ -873,24 +812,25 @@ fn worker_loop(
                         if let Some(wd) = ctx.watchdog {
                             wd.acquiring(widx, l);
                         }
-                        let t0 = if telemetry_on || metrics_on { now() } else { 0 };
+                        if log.on {
+                            log.record(widx, now(), EventKind::Block);
+                        }
                         if !ctx.locks[l].acquire_canceling(ctx.cancel) {
                             if let Some(wd) = ctx.watchdog {
                                 wd.wait_abandoned(widx);
                             }
                             return Err(canceled());
                         }
-                        if telemetry_on || metrics_on {
-                            let t1 = now();
-                            if telemetry_on {
-                                span(spans, t0, t1, SpanKind::LockWait { rank: l });
-                            }
-                            if let Some(mr) = mreg.as_mut() {
-                                mr.observe(
-                                    &format!("lock_wait.{}", ctx.lock_sets[l]),
-                                    t1.saturating_sub(t0),
-                                );
-                            }
+                        if log.on {
+                            // Every acquisition waits from its Block; an
+                            // injected grant delay below counts as hold.
+                            let t = now();
+                            let acquire = EventKind::LockAcquire {
+                                rank: l,
+                                attempt: t,
+                                granted: t,
+                            };
+                            log.record(widx, t, acquire);
                         }
                         if let Some(wd) = ctx.watchdog {
                             wd.acquired(widx, l);
@@ -899,13 +839,7 @@ fn worker_loop(
                         if delay > 0 {
                             std::thread::sleep(Duration::from_micros(delay));
                         }
-                        if telemetry_on {
-                            lock_held.insert(l, now());
-                        }
                         vm.resolve_special(Value::Int(0));
-                        if let Some(tr) = ctx.trace {
-                            tr.record(widx, now(), TraceEvent::LockAcquire { lock: l });
-                        }
                     }
                     SpecialOp::LockRelease => {
                         let l = p.args[0].as_int() as usize;
@@ -913,19 +847,15 @@ fn worker_loop(
                             vm.resolve_special(Value::Int(0));
                             continue;
                         }
-                        if telemetry_on {
-                            if let Some(t0) = lock_held.remove(&l) {
-                                span(spans, t0, now(), SpanKind::LockHold { rank: l });
-                            }
+                        if log.on {
+                            let t = now();
+                            log.record(widx, t, EventKind::LockRelease { rank: l, held: t });
                         }
                         ctx.locks[l].release();
                         if let Some(wd) = ctx.watchdog {
                             wd.released(widx, l);
                         }
                         vm.resolve_special(Value::Int(0));
-                        if let Some(tr) = ctx.trace {
-                            tr.record(widx, now(), TraceEvent::LockRelease { lock: l });
-                        }
                     }
                     SpecialOp::QueuePush => {
                         let id = p.args[0].as_int();
@@ -939,31 +869,23 @@ fn worker_loop(
                         }
                         staged[q].push(p.args[1].to_bits());
                         if staged[q].len() >= batch {
-                            let t0 = if telemetry_on { now() } else { 0 };
+                            if log.on {
+                                log.record(widx, now(), EventKind::Block);
+                            }
                             if !flush_staged(ctx, &mut staged) {
                                 return Err(canceled());
                             }
-                            if telemetry_on {
-                                let t1 = now();
-                                if t1 > t0 {
-                                    span(spans, t0, t1, SpanKind::QueuePushWait { queue: id });
-                                }
-                            }
                         }
-                        if telemetry_on {
+                        if log.on {
                             let t = now();
-                            span(spans, t, t, SpanKind::QueuePush { queue: id });
-                        }
-                        if let Some(mr) = mreg.as_mut() {
-                            mr.observe(
-                                &format!("queue_occupancy.{id}"),
-                                ctx.queues[q].len() as u64,
-                            );
+                            let push = EventKind::QueuePush {
+                                queue: id,
+                                attempt: t,
+                                occupancy: ctx.queues[q].len() as u64,
+                            };
+                            log.record(widx, t, push);
                         }
                         vm.resolve_special(Value::Int(0));
-                        if let Some(tr) = ctx.trace {
-                            tr.record(widx, now(), TraceEvent::QueuePush { queue: id });
-                        }
                     }
                     SpecialOp::QueuePop { float } => {
                         let id = p.args[0].as_int();
@@ -982,19 +904,15 @@ fn worker_loop(
                                 // values first, then take one value
                                 // (blocking) and opportunistically batch
                                 // up whatever else is already there.
-                                let t0 = if telemetry_on { now() } else { 0 };
+                                if log.on {
+                                    log.record(widx, now(), EventKind::Block);
+                                }
                                 if !flush_staged(ctx, &mut staged) {
                                     return Err(canceled());
                                 }
                                 let Some(first) = ctx.queues[q].pop_canceling(ctx.cancel) else {
                                     return Err(canceled());
                                 };
-                                if telemetry_on {
-                                    let t1 = now();
-                                    if t1 > t0 {
-                                        span(spans, t0, t1, SpanKind::QueuePopWait { queue: id });
-                                    }
-                                }
                                 if batch > 1 {
                                     scratch.clear();
                                     ctx.queues[q].pop_n(&mut scratch, batch - 1);
@@ -1003,20 +921,16 @@ fn worker_loop(
                                 first
                             }
                         };
-                        if telemetry_on {
+                        if log.on {
                             let t = now();
-                            span(spans, t, t, SpanKind::QueuePop { queue: id });
-                        }
-                        if let Some(mr) = mreg.as_mut() {
-                            mr.observe(
-                                &format!("queue_occupancy.{id}"),
-                                ctx.queues[q].len() as u64,
-                            );
+                            let pop = EventKind::QueuePop {
+                                queue: id,
+                                attempt: t,
+                                occupancy: ctx.queues[q].len() as u64,
+                            };
+                            log.record(widx, t, pop);
                         }
                         vm.resolve_special(Value::from_bits(bits, float));
-                        if let Some(tr) = ctx.trace {
-                            tr.record(widx, now(), TraceEvent::QueuePop { queue: id });
-                        }
                     }
                     SpecialOp::TxBegin => {
                         // Blocking wait ahead: publish staged values first.
@@ -1026,8 +940,8 @@ fn worker_loop(
                         if !ctx.tm_lock.acquire_canceling(ctx.cancel) {
                             return Err(canceled());
                         }
-                        if telemetry_on {
-                            tx_start = now();
+                        if log.on {
+                            log.record(widx, now(), EventKind::TxBegin);
                         }
                         in_tx = true;
                         vm.resolve_special(Value::Int(0));
@@ -1036,13 +950,9 @@ fn worker_loop(
                         if !in_tx {
                             return Err(ExecError::TxCommitWithoutBegin);
                         }
-                        if telemetry_on {
+                        if log.on {
                             // Pessimistic TM: the window commits, no aborts.
-                            span(spans, tx_start, now(), SpanKind::Tx { aborts: 0 });
-                        }
-                        if let Some(mr) = mreg.as_mut() {
-                            // Pessimistic TM here: every window commits.
-                            mr.inc("tm.commits", 1);
+                            log.record(widx, now(), EventKind::TxCommit { aborts: 0 });
                         }
                         ctx.tm_lock.release();
                         in_tx = false;
@@ -1055,38 +965,12 @@ fn worker_loop(
                         // worker-private buffer — no shard lock, no STM.
                         if let Some(buf) = delta_buf.as_mut() {
                             if let Some(slots) = ctx.registry.delta_route(name, &p.args) {
-                                let t0 = if telemetry_on || metrics_on { now() } else { 0 };
+                                let start = log.on.then(now);
                                 let out = buf.apply(ctx.registry, name, &p.args, &slots);
-                                if telemetry_on || metrics_on {
-                                    let t1 = now();
-                                    if telemetry_on {
-                                        span(
-                                            spans,
-                                            t0,
-                                            t1,
-                                            SpanKind::WorldCall {
-                                                intrinsic: name.to_string(),
-                                            },
-                                        );
-                                    }
-                                    if let Some(mr) = mreg.as_mut() {
-                                        mr.observe(
-                                            &format!("world_call.{name}"),
-                                            t1.saturating_sub(t0),
-                                        );
-                                    }
+                                if let Some(start) = start {
+                                    log.record(widx, now(), world_call(name, &p.args, start));
                                 }
                                 vm.resolve_special(out.value);
-                                if let Some(tr) = ctx.trace {
-                                    tr.record(
-                                        widx,
-                                        now(),
-                                        TraceEvent::WorldCall {
-                                            intrinsic: name.to_string(),
-                                            args: p.args.clone(),
-                                        },
-                                    );
-                                }
                                 continue;
                             }
                         }
@@ -1101,39 +985,26 @@ fn worker_loop(
                             rank_base: ctx.locks.len(),
                             injector: Some(ctx.injector),
                         };
-                        let t0 = if telemetry_on || metrics_on { now() } else { 0 };
+                        let start = log.on.then(now);
                         let out = ctx.world.call(ctx.registry, name, &p.args, &obs);
-                        if telemetry_on || metrics_on {
-                            let t1 = now();
-                            if telemetry_on {
-                                span(
-                                    spans,
-                                    t0,
-                                    t1,
-                                    SpanKind::WorldCall {
-                                        intrinsic: name.to_string(),
-                                    },
-                                );
-                            }
-                            if let Some(mr) = mreg.as_mut() {
-                                mr.observe(&format!("world_call.{name}"), t1.saturating_sub(t0));
-                            }
+                        if let Some(start) = start {
+                            log.record(widx, now(), world_call(name, &p.args, start));
                         }
                         vm.resolve_special(out.value);
-                        if let Some(tr) = ctx.trace {
-                            tr.record(
-                                widx,
-                                now(),
-                                TraceEvent::WorldCall {
-                                    intrinsic: name.to_string(),
-                                    args: p.args.clone(),
-                                },
-                            );
-                        }
                     }
                 }
             }
         }
+    }
+}
+
+/// A world-intrinsic event: real threads model no channel waits.
+fn world_call(name: &str, args: &[Value], start: u64) -> EventKind {
+    EventKind::WorldCall {
+        intrinsic: name.to_string(),
+        args: args.to_vec(),
+        start,
+        channel_waits: Vec::new(),
     }
 }
 
@@ -1164,6 +1035,7 @@ mod tests {
     use commset_lang::ast::Type;
     use commset_runtime::intrinsics::IntrinsicOutcome;
     use commset_runtime::FaultPlan;
+    use commset_telemetry::{TraceEvent, TraceRecord};
     use commset_transform::{doall, dswp};
     use std::collections::BTreeSet;
 
@@ -1284,12 +1156,14 @@ mod tests {
         let (module, plan) = compile_doall(SUM_SRC, 3, SyncMode::Spin);
         let mut world = World::new();
         world.install("acc", 0i64);
-        let sink = crate::trace::TraceSink::new();
-        let cfg = ExecConfig::with_trace(sink.clone());
+        let cfg = ExecConfig {
+            telemetry: true,
+            ..ExecConfig::default()
+        };
         let out = run_threaded_with(&module, &registry(), &[plan], world, &cfg).unwrap();
         assert_eq!(*out.world.get::<i64>("acc"), (0..200).sum::<i64>());
-        let recs = sink.take();
-        let enters: Vec<&crate::trace::TraceRecord> = recs
+        let recs = out.telemetry.expect("telemetry on").trace;
+        let enters: Vec<&TraceRecord> = recs
             .iter()
             .filter(|r| matches!(r.event, TraceEvent::RegionEnter { .. }))
             .collect();

@@ -71,9 +71,9 @@ struct Frame {
 }
 
 /// A call-boundary event of a *watched* function (see
-/// [`Vm::watch_calls`]): the trace recorder uses these to observe
-/// commutative-region entries and exits, which are ordinary program-function
-/// calls invisible to the driving executor.
+/// [`Vm::watch_calls`]): the executors record these as region events to
+/// observe commutative-region entries and exits, which are ordinary
+/// program-function calls invisible to the driving executor.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CallEvent {
     /// True for an entry (frame push), false for an exit (frame pop).
@@ -84,6 +84,19 @@ pub struct CallEvent {
     pub args: Vec<Value>,
     /// Number of watched frames on the stack *after* the event.
     pub depth: usize,
+}
+
+impl From<CallEvent> for commset_telemetry::EventKind {
+    fn from(ev: CallEvent) -> Self {
+        if ev.enter {
+            Self::RegionEnter {
+                func: ev.func,
+                args: ev.args,
+            }
+        } else {
+            Self::RegionExit { func: ev.func }
+        }
+    }
 }
 
 #[derive(Debug, Default)]

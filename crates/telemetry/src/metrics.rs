@@ -7,15 +7,17 @@
 //! queue or delta buffer is eating the speedup"* — cheap enough to stay
 //! on in a long-lived serve process.
 //!
-//! The recording discipline mirrors the span layer's zero-cost design:
-//! executors consult one `bool` knob (`ExecConfig::metrics` in
-//! `commset-interp`) and, when on, each worker records into *private*
-//! local state (arrays and maps it alone owns — no shared atomics, no
-//! locks on the hot path) and publishes exactly once at worker exit
-//! through a [`MetricsSink`]. Merging is commutative (counter adds,
-//! element-wise histogram merges), so the merged registry is
-//! deterministic regardless of worker publication order. On the DES all
-//! values are logical ticks; on real threads, monotonic nanoseconds.
+//! Executors consult one `bool` knob (`ExecConfig::metrics` in
+//! `commset-interp`). The lock, queue, channel and world-call families
+//! are a projection of the executors' event stream ([`crate::event`]),
+//! derived at each section end from the same events as the spans. The
+//! bytecode retires are recorded by each worker into *private* local
+//! state (no shared atomics, no locks on the hot path) and published
+//! exactly once at worker exit through a [`MetricsSink`]. Merging is
+//! commutative (counter adds, element-wise histogram merges), so the
+//! merged registry is deterministic regardless of worker publication
+//! order. On the DES all values are logical ticks; on real threads,
+//! monotonic nanoseconds.
 //!
 //! Key namespaces (by convention, dot-separated):
 //!

@@ -22,6 +22,7 @@
 
 use crate::json;
 use crate::span::{SpanKind, SpanRecord};
+use crate::trace::TraceRecord;
 use commset_runtime::{FaultStats, ShardStatsSnapshot};
 use std::fmt::Write as _;
 
@@ -247,6 +248,9 @@ pub struct RunReport {
     /// The raw span stream (kept for the Chrome/Perfetto exporter; not
     /// part of [`RunReport::to_json`]).
     pub spans: Vec<SpanRecord>,
+    /// The run's trace, derived from the same events as the spans (not
+    /// part of [`RunReport::to_json`]).
+    pub trace: Vec<TraceRecord>,
 }
 
 impl RunReport {
@@ -266,6 +270,7 @@ impl RunReport {
             sections: profiles,
             counters,
             spans,
+            trace: Vec::new(),
         }
     }
 

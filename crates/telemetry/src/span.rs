@@ -1,18 +1,12 @@
-//! Span recording: the executors' side of the telemetry layer.
+//! Spans: the timed projection of a run's event stream.
 //!
 //! A [`SpanRecord`] is one timed interval (or instant, when
 //! `start == end`) of one worker's execution inside one parallel section.
-//! The real-thread executor stamps spans in monotonic nanoseconds since
-//! the run's epoch; the simulated executor stamps them in its
-//! deterministic logical ticks — the sink itself is clock-agnostic and
-//! the [`crate::report::RunReport`] records which unit applies.
-//!
-//! Workers batch spans locally and publish them with one
-//! [`TelemetrySink::record_batch`] per worker, so the profiling layer
-//! does not itself serialize the workers it is measuring.
-
-use commset_runtime::sync::Mutex;
-use std::sync::Arc;
+//! The executors do not write spans; they record events
+//! ([`crate::event`]), and the section's [`crate::event::Projection`]
+//! pairs them into spans. Timestamps are monotonic nanoseconds since the
+//! run's epoch on real threads and deterministic logical ticks under the
+//! simulator; the [`crate::report::RunReport`] records which unit applies.
 
 /// What one span measures.
 #[derive(Debug, Clone, PartialEq)]
@@ -131,60 +125,11 @@ impl SpanRecord {
     }
 }
 
-/// A cloneable, thread-safe span log shared between an executor and the
-/// report builder. Clones share the same underlying buffer.
-#[derive(Clone, Default)]
-pub struct TelemetrySink {
-    spans: Arc<Mutex<Vec<SpanRecord>>>,
-}
-
-impl std::fmt::Debug for TelemetrySink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TelemetrySink")
-            .field("spans", &self.len())
-            .finish()
-    }
-}
-
-impl TelemetrySink {
-    /// An empty sink.
-    pub fn new() -> Self {
-        TelemetrySink::default()
-    }
-
-    /// Appends one span.
-    pub fn record(&self, span: SpanRecord) {
-        self.spans.lock().push(span);
-    }
-
-    /// Appends a worker's whole local buffer with one lock acquisition.
-    pub fn record_batch(&self, spans: Vec<SpanRecord>) {
-        if spans.is_empty() {
-            return;
-        }
-        self.spans.lock().extend(spans);
-    }
-
-    /// Number of spans currently buffered.
-    pub fn len(&self) -> usize {
-        self.spans.lock().len()
-    }
-
-    /// True when nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Removes and returns all buffered spans, ordered by
-    /// `(section, worker, start, end)` so reports built from the same
-    /// events are identical however worker batches interleaved.
-    pub fn take(&self) -> Vec<SpanRecord> {
-        let mut out = std::mem::take(&mut *self.spans.lock());
-        out.sort_by(|a, b| {
-            (a.section, a.worker, a.start, a.end).cmp(&(b.section, b.worker, b.start, b.end))
-        });
-        out
-    }
+/// Sorts spans by `(section, worker, start, end)`, keeping the recording
+/// order of ties, so reports built from the same events are identical
+/// however worker buffers interleaved.
+pub fn canonical_order(spans: &mut [SpanRecord]) {
+    spans.sort_by_key(|s| (s.section, s.worker, s.start, s.end));
 }
 
 #[cfg(test)]
@@ -193,39 +138,33 @@ mod tests {
 
     #[test]
     fn batches_merge_and_take_orders_canonically() {
-        let sink = TelemetrySink::new();
-        let other = sink.clone();
-        other.record_batch(vec![
-            SpanRecord {
-                section: 0,
-                worker: 1,
-                start: 5,
-                end: 9,
-                kind: SpanKind::Worker,
-            },
-            SpanRecord {
-                section: 0,
-                worker: 0,
-                start: 2,
-                end: 3,
-                kind: SpanKind::LockWait { rank: 0 },
-            },
-        ]);
-        sink.record(SpanRecord {
+        let span = |worker: usize, start: u64, end: u64, kind: SpanKind| SpanRecord {
             section: 0,
-            worker: 0,
-            start: 0,
-            end: 1,
-            kind: SpanKind::Region {
-                func: "__commset_region_0".into(),
-            },
-        });
-        assert_eq!(sink.len(), 3);
-        let spans = sink.take();
-        assert!(sink.is_empty());
-        assert_eq!(spans[0].worker, 0);
-        assert_eq!(spans[0].start, 0);
-        assert_eq!(spans[2].worker, 1);
+            worker,
+            start,
+            end,
+            kind,
+        };
+        // Worker 1's buffer arrived before worker 0's; the two instants of
+        // worker 0 at tick 4 keep their recording order.
+        let mut spans = vec![
+            span(1, 5, 9, SpanKind::Worker),
+            span(0, 4, 4, SpanKind::QueuePush { queue: 1 }),
+            span(0, 2, 3, SpanKind::LockWait { rank: 0 }),
+            span(0, 4, 4, SpanKind::QueuePop { queue: 2 }),
+        ];
+        canonical_order(&mut spans);
+        let order: Vec<(usize, String)> =
+            spans.iter().map(|s| (s.worker, s.kind.label())).collect();
+        assert_eq!(
+            order,
+            [
+                (0, "lock-wait #0".to_string()),
+                (0, "push q1".to_string()),
+                (0, "pop q2".to_string()),
+                (1, "worker".to_string()),
+            ]
+        );
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! here as a readable diff. To refresh after an intentional model change,
 //! rerun with `DES_SCHEDULE_GOLDEN_REGEN=1` and review the diff.
 
-use commset_interp::{ExecConfig, SimStats, TraceSink};
+use commset_interp::{ExecConfig, SimStats};
 use commset_sim::CostModel;
 use commset_workloads::Workload;
 use std::fmt::Write;
@@ -27,24 +27,44 @@ fn golden_path(name: &str) -> String {
     )
 }
 
-/// Runs `label` of `w` at eight simulated threads with tracing on and
-/// renders the trace one record per line.
+/// Runs `label` of `w` at eight simulated threads with telemetry on and
+/// renders the run's trace one record per line.
 fn traced(w: &Workload, label: &str) -> (String, SimStats) {
     let spec = w
         .schemes
         .iter()
         .find(|s| s.label == label)
         .unwrap_or_else(|| panic!("{}: no scheme `{label}`", w.name));
-    let sink = TraceSink::new();
-    let cfg = ExecConfig::with_trace(sink.clone());
-    let (_, _, stats) = w
-        .run_scheme_with(spec, 8, &CostModel::default(), &cfg)
-        .unwrap_or_else(|e| panic!("{} {label}: {e:?}", w.name));
+    let compiler = w.compiler();
+    let source = if spec.commset {
+        w.variants[spec.variant].clone()
+    } else {
+        w.plain_source()
+    };
+    let analysis = compiler
+        .analyze(&source)
+        .unwrap_or_else(|e| panic!("{} {label}: {e}", w.name));
+    let (module, plan) = compiler
+        .compile(&analysis, spec.scheme, 8, spec.sync)
+        .unwrap_or_else(|e| panic!("{} {label}: {e}", w.name));
+    let cfg = ExecConfig {
+        telemetry: true,
+        ..ExecConfig::default()
+    };
+    let out = commset_interp::run_simulated_with(
+        &module,
+        &w.registry,
+        &[plan],
+        &mut (w.make_world)(),
+        &CostModel::default(),
+        &cfg,
+    )
+    .unwrap_or_else(|e| panic!("{} {label}: {e}", w.name));
     let mut text = String::new();
-    for r in sink.take() {
+    for r in out.telemetry.expect("telemetry on").trace {
         writeln!(text, "{} {} {}", r.worker, r.time, r.event).unwrap();
     }
-    (text, stats)
+    (text, out.stats)
 }
 
 fn check_golden(name: &str, got: &str) {

@@ -1,8 +1,9 @@
 //! End-to-end observability tests: the golden `commsetc report` text,
 //! the journal's determinism on the DES, metrics/journal zero-cost
-//! guarantees at the profile level, and the causal link between a
-//! captured `.repro.json` failure bundle and the event journal of the
-//! run that captured it.
+//! guarantees at the profile level, the causal link between a captured
+//! `.repro.json` failure bundle and the event journal of the run that
+//! captured it, and the agreement of the spans, trace and metrics
+//! projected from one event stream.
 //!
 //! The golden test pins the hotspot report byte for byte (DES backend,
 //! deterministic ticks). To refresh after an intentional format change,
@@ -13,8 +14,10 @@ use commset::replay::{run_profile_supervised, SyntheticSource};
 use commset::report::parse_journal;
 use commset::spec::{build_table, parse_effects};
 use commset::{Compiler, Scheme, SyncMode};
-use commset_interp::{ExecConfig, FailureBundle, RecoveryPolicy};
-use commset_telemetry::Journal;
+use commset_interp::{run_simulated_with, ExecConfig, FailureBundle, RecoveryPolicy};
+use commset_sim::CostModel;
+use commset_telemetry::{Journal, MetricsRegistry, RunReport, SpanKind, TraceEvent};
+use commset_workloads::Workload;
 
 fn samples_dir() -> &'static str {
     concat!(env!("CARGO_MANIFEST_DIR"), "/../../samples")
@@ -165,4 +168,119 @@ fn captured_bundle_carries_the_journal_run_id() {
     );
     assert!(report.kinds.contains_key("attempt_error"));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Checks that the spans, trace records and metric families of one run —
+/// three projections of one event stream — count the same events.
+/// `measured` runs (real threads) sample every lock acquisition.
+fn assert_projections_agree(
+    what: &str,
+    report: &RunReport,
+    metrics: &MetricsRegistry,
+    measured: bool,
+) {
+    let spans = |f: &dyn Fn(&SpanKind) -> bool| report.spans.iter().filter(|s| f(&s.kind)).count();
+    let trace =
+        |f: &dyn Fn(&TraceEvent) -> bool| report.trace.iter().filter(|r| f(&r.event)).count();
+    assert_eq!(
+        trace(&|e| matches!(e, TraceEvent::RegionEnter { .. })),
+        spans(&|k| matches!(k, SpanKind::Region { .. })),
+        "{what}: region enters vs Region spans"
+    );
+    assert_eq!(
+        trace(&|e| matches!(e, TraceEvent::LockAcquire { .. })),
+        spans(&|k| matches!(k, SpanKind::LockHold { .. })),
+        "{what}: lock acquires vs LockHold spans"
+    );
+    assert_eq!(
+        trace(&|e| matches!(e, TraceEvent::QueuePush { .. })),
+        spans(&|k| matches!(k, SpanKind::QueuePush { .. })),
+        "{what}: queue pushes"
+    );
+    assert_eq!(
+        trace(&|e| matches!(e, TraceEvent::QueuePop { .. })),
+        spans(&|k| matches!(k, SpanKind::QueuePop { .. })),
+        "{what}: queue pops"
+    );
+    assert_eq!(
+        metrics.counters().get("tm.commits").copied().unwrap_or(0),
+        spans(&|k| matches!(k, SpanKind::Tx { .. })) as u64,
+        "{what}: tm.commits vs Tx spans"
+    );
+    if measured {
+        for section in &report.sections {
+            for lock in &section.locks {
+                let waits =
+                    spans(&|k| matches!(k, SpanKind::LockWait { rank } if *rank == lock.rank));
+                let samples = metrics
+                    .hists()
+                    .get(&format!("lock_wait.{}", lock.set))
+                    .map_or(0, |h| h.count());
+                assert_eq!(samples, waits as u64, "{what}: lock_wait.{}", lock.set);
+            }
+        }
+    }
+}
+
+/// One DES run with transactions and one real-thread run with locks and
+/// queues, telemetry and metrics on: every projection agrees with the
+/// others on how many events happened.
+#[test]
+fn spans_trace_and_metrics_project_the_same_events() {
+    let cfg = ExecConfig {
+        telemetry: true,
+        metrics: true,
+        ..ExecConfig::default()
+    };
+    let scheme = |w: &Workload, label: &str| {
+        w.schemes
+            .iter()
+            .find(|s| s.label == label)
+            .unwrap_or_else(|| panic!("{}: no `{label}`", w.name))
+            .clone()
+    };
+
+    let kmeans = commset_workloads::kmeans::workload();
+    let spec = scheme(&kmeans, "Comm-DOALL (TM)");
+    let compiler = kmeans.compiler();
+    let analysis = compiler
+        .analyze(&kmeans.variants[spec.variant])
+        .expect("kmeans analyzes");
+    let (module, plan) = compiler
+        .compile(&analysis, spec.scheme, 8, spec.sync)
+        .expect("DOALL applies");
+    let des = run_simulated_with(
+        &module,
+        &kmeans.registry,
+        &[plan],
+        &mut (kmeans.make_world)(),
+        &CostModel::default(),
+        &cfg,
+    )
+    .expect("DES run succeeds");
+    let report = des.telemetry.expect("telemetry on");
+    let metrics = des.metrics.expect("metrics on");
+    assert!(report
+        .spans
+        .iter()
+        .any(|s| matches!(s.kind, SpanKind::Tx { .. })));
+    assert_projections_agree("kmeans TM x8 (DES)", &report, &metrics, false);
+
+    let em3d = commset_workloads::em3d::workload();
+    let spec = scheme(&em3d, "Comm-PS-DSWP (Spin)");
+    let out = em3d
+        .run_scheme_threaded(&spec, 4, &cfg)
+        .unwrap_or_else(|e| panic!("em3d threaded: {e:?}"));
+    let report = out.telemetry.expect("telemetry on");
+    let metrics = out.metrics.expect("metrics on");
+    let holds = report
+        .spans
+        .iter()
+        .filter(|s| matches!(s.kind, SpanKind::LockHold { .. }));
+    assert!(holds.count() > 0, "the threaded run takes locks");
+    assert!(report
+        .trace
+        .iter()
+        .any(|r| matches!(r.event, TraceEvent::QueuePush { .. })));
+    assert_projections_agree("em3d PS-DSWP (Spin) x4 (threads)", &report, &metrics, true);
 }

@@ -118,7 +118,8 @@ fn chrome_trace_export_has_the_perfetto_shape() {
 }
 
 /// Telemetry must be zero-cost when off: the DES model may not shift by a
-/// single tick, the outcome must carry no report, and the real-thread
+/// single tick (on the md5sum sample and on every workload's COMMSET
+/// series), the outcome must carry no report, and the real-thread
 /// executor's wall clock must stay in the same ballpark.
 #[test]
 fn telemetry_off_is_free_and_absent() {
@@ -153,6 +154,45 @@ fn telemetry_off_is_free_and_absent() {
     assert_eq!(off.sim_time, on.sim_time, "telemetry perturbed the model");
     assert!(off.telemetry.is_none(), "off must attach no report");
     assert!(on.telemetry.is_some(), "on must attach a report");
+
+    // The same holds for every workload's COMMSET series at 8 modeled
+    // threads, with telemetry and metrics both on against both off.
+    let mut cells = 0;
+    for w in commset_workloads::all() {
+        let compiler = w.compiler();
+        for spec in w.schemes.iter().filter(|s| s.commset) {
+            let Ok(analysis) = compiler.analyze(&w.variants[spec.variant]) else {
+                continue;
+            };
+            let Ok((module, plan)) = compiler.compile(&analysis, spec.scheme, 8, spec.sync) else {
+                continue;
+            };
+            let run = |on: bool| {
+                let cfg = ExecConfig {
+                    telemetry: on,
+                    metrics: on,
+                    ..ExecConfig::default()
+                };
+                let mut world = (w.make_world)();
+                let plans = std::slice::from_ref(&plan);
+                run_simulated_with(&module, &w.registry, plans, &mut world, &cm, &cfg)
+                    .unwrap_or_else(|e| panic!("{} {}: {e}", w.name, spec.label))
+            };
+            let (off, on) = (run(false), run(true));
+            let cell = format!("{} {} x8", w.name, spec.label);
+            assert_eq!(off.sim_time, on.sim_time, "{cell}: sim_time");
+            assert_eq!(off.result, on.result, "{cell}: result");
+            assert_eq!(
+                format!("{:?}", off.stats),
+                format!("{:?}", on.stats),
+                "{cell}: stats"
+            );
+            assert!(off.telemetry.is_none() && off.metrics.is_none(), "{cell}");
+            assert!(on.telemetry.is_some() && on.metrics.is_some(), "{cell}");
+            cells += 1;
+        }
+    }
+    assert!(cells >= 16, "only {cells} COMMSET cells ran");
 
     // Real threads: an uninstrumented run completes with no report and
     // within a generous multiple of the instrumented run's wall clock
