@@ -10,8 +10,11 @@
 //! executes next. A chosen
 //! region runs *atomically* (the paper's synchronization already
 //! guarantees mutual exclusion of same-set members; the checker varies
-//! only their *order*). Lock and transaction intrinsics are therefore
-//! no-ops here; pipeline queues are real FIFOs.
+//! only their *order*). The runtime specials mean what
+//! [`substrate::special`] says, over this executor's substrate: locks and
+//! transactions are vacuous, pipeline queues are real FIFOs, world calls
+//! go to the [`ModelWorld`], and a wait — an empty queue, or a world call
+//! to surface — pauses the worker for the scheduler.
 //!
 //! The run is a pure function of `(program, plan, scheduler, model config)`
 //! — same inputs, same interleaving, same final world. The program is
@@ -20,13 +23,17 @@
 
 use crate::model::{ModelConfig, ModelWorld};
 use commset_interp::globals::PlainGlobals;
+use commset_interp::substrate::{
+    self, Call, ChannelWaits, Lane, Moved, Park, Prim, Section, Step, Substrate,
+};
 use commset_interp::vm::GlobalMem;
-use commset_interp::{BcModule, BcVm, ExecError, SpecialOp, StepOutcome};
-use commset_ir::Module;
+use commset_interp::{BcModule, BcVm, ExecConfig, ExecError, SpecialOp, StepOutcome};
+use commset_ir::{IntrinsicTable, Module};
 use commset_runtime::rng::SplitMix64;
-use commset_runtime::Value;
+use commset_runtime::{FaultInjector, FaultPlan, Registry, Value};
+use commset_telemetry::EventLog;
 use commset_transform::ParallelPlan;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// A failure of a controlled run.
 #[derive(Debug, Clone, PartialEq)]
@@ -315,7 +322,7 @@ enum WState {
     /// Paused at a bare world-intrinsic call (shard-acquisition point);
     /// only reachable under [`ModelConfig::pause_at_world_calls`].
     AtWorldCall {
-        name: String,
+        intrinsic: usize,
         args: Vec<Value>,
     },
     /// Blocked popping queue `q` (by plan index).
@@ -326,6 +333,7 @@ enum WState {
 struct CWorker<'m> {
     vm: BcVm<'m>,
     state: WState,
+    lane: Lane,
 }
 
 /// A transformed module compiled for controlled execution: its bytecode
@@ -336,6 +344,11 @@ pub struct ControlledProgram {
     bc: BcModule,
     /// The decoded intrinsics, indexed by `IntrinsicId`.
     ops: Vec<SpecialOp>,
+    /// The substrate semantics' registry, injector and configuration: no
+    /// merges, no faults, no watchdog.
+    registry: Registry,
+    injector: FaultInjector,
+    exec: ExecConfig,
 }
 
 impl ControlledProgram {
@@ -345,16 +358,64 @@ impl ControlledProgram {
             bc: BcModule::compile(&module),
             ops: SpecialOp::decode_table(&module.intrinsics),
             module,
+            registry: Registry::new(),
+            injector: FaultInjector::new(FaultPlan::none()),
+            exec: ExecConfig {
+                watchdog: false,
+                ..ExecConfig::default()
+            },
         }
+    }
+}
+
+/// The checker's substrate: regions execute atomically, so locks and
+/// transactions are vacuous; queues are FIFOs and world calls go to the
+/// model world, or wait for the scheduler's turn when `pause` is set.
+struct Model<'a> {
+    world: ModelWorld,
+    queues: Vec<VecDeque<u64>>,
+    intrinsics: &'a IntrinsicTable,
+    pause: bool,
+}
+
+impl Substrate for Model<'_> {
+    fn push(&mut self, _w: usize, q: usize, bits: u64) -> Result<Prim<Moved>, ExecError> {
+        self.queues[q].push_back(bits);
+        let occupancy = self.queues[q].len() as u64;
+        Ok(Prim::done(Moved {
+            attempt: 0,
+            occupancy,
+            bits,
+        }))
+    }
+
+    fn pop(&mut self, _w: usize, q: usize) -> Result<Prim<Moved>, ExecError> {
+        Ok(match self.queues[q].pop_front() {
+            Some(bits) => Prim::done(Moved {
+                attempt: 0,
+                occupancy: self.queues[q].len() as u64,
+                bits,
+            }),
+            None => Prim::wait(None),
+        })
+    }
+
+    fn world(&mut self, _w: usize, call: Call<'_>) -> Option<(Value, ChannelWaits)> {
+        if self.pause {
+            return None;
+        }
+        let value = self.world.call(self.intrinsics, call.name, call.args);
+        Some((value, Vec::new()))
     }
 }
 
 struct Machine<'m> {
     program: &'m ControlledProgram,
-    world: ModelWorld,
+    model: Model<'m>,
     budget: u64,
-    queues: Vec<VecDeque<u64>>,
-    queue_index: HashMap<i64, usize>,
+    section: Section<'m>,
+    /// Never on: the checker records no events.
+    log: EventLog,
     /// Pause workers at bare world calls (shard-acquisition points).
     pause_world: bool,
 }
@@ -374,6 +435,7 @@ impl<'m> Machine<'m> {
     fn run_vm(
         &mut self,
         vm: &mut BcVm<'_>,
+        lane: &mut Lane,
         globals: &mut PlainGlobals,
         in_region: bool,
         region_func: &str,
@@ -404,66 +466,42 @@ impl<'m> Machine<'m> {
                 }
                 StepOutcome::Finished(_) => return Ok(WState::Done),
                 StepOutcome::Special(p) => {
-                    let name = module.intrinsics.name(p.intrinsic.0 as usize);
-                    match program.ops[p.intrinsic.0 as usize] {
-                        SpecialOp::LockAcquire
-                        | SpecialOp::LockRelease
-                        | SpecialOp::TxBegin
-                        | SpecialOp::TxCommit => {
-                            // Regions execute atomically: synchronization
-                            // is vacuous under the controlled scheduler.
-                            vm.resolve_special(Value::Int(0));
+                    let id = p.intrinsic.0 as usize;
+                    let call = Call {
+                        id,
+                        name: module.intrinsics.name(id),
+                        args: &p.args,
+                    };
+                    // A bare world call is a shard-acquisition point:
+                    // surface it to the scheduler.
+                    self.model.pause = self.pause_world && !in_region;
+                    let (sec, model, log) = (&self.section, &mut self.model, &mut self.log);
+                    match substrate::special(sec, model, lane, log, program.ops[id], call)? {
+                        Step::Value(v) => vm.resolve_special(v),
+                        // The special stays pending; the section loop
+                        // executes it when this worker is picked.
+                        Step::Wait(Park::World) => {
+                            return Ok(WState::AtWorldCall {
+                                intrinsic: id,
+                                args: p.args,
+                            })
                         }
-                        SpecialOp::QueuePush => {
-                            let q = self.qidx(p.args[0].as_int())?;
-                            self.queues[q].push_back(p.args[1].to_bits());
-                            vm.resolve_special(Value::Int(0));
+                        Step::Wait(_) if in_region => {
+                            return Err(CheckError::PopInsideRegion {
+                                func: region_func.to_string(),
+                            })
                         }
-                        SpecialOp::QueuePop { float } => {
-                            let q = self.qidx(p.args[0].as_int())?;
-                            match self.queues[q].pop_front() {
-                                Some(bits) => {
-                                    vm.resolve_special(Value::from_bits(bits, float));
-                                }
-                                None => {
-                                    if in_region {
-                                        return Err(CheckError::PopInsideRegion {
-                                            func: region_func.to_string(),
-                                        });
-                                    }
-                                    vm.retry_special_later();
-                                    return Ok(WState::BlockedPop(q));
-                                }
-                            }
-                        }
-                        SpecialOp::ParInvoke => {
-                            return Err(CheckError::Unsupported("nested parallel section".into()))
-                        }
-                        SpecialOp::World => {
-                            if self.pause_world && !in_region {
-                                // A bare world call is a shard-acquisition
-                                // point: surface it to the scheduler. The
-                                // special stays pending; the section loop
-                                // executes it when this worker is picked.
-                                return Ok(WState::AtWorldCall {
-                                    name: name.to_string(),
-                                    args: p.args.clone(),
-                                });
-                            }
-                            let v = self.world.call(&module.intrinsics, name, &p.args);
-                            vm.resolve_special(v);
+                        Step::Wait(park) => {
+                            vm.retry_special_later();
+                            return match park {
+                                Park::Pop(q) => Ok(WState::BlockedPop(q)),
+                                _ => Err(CheckError::Unsupported(format!("{park:?} wait"))),
+                            };
                         }
                     }
                 }
             }
         }
-    }
-
-    fn qidx(&self, id: i64) -> Result<usize, CheckError> {
-        self.queue_index
-            .get(&id)
-            .copied()
-            .ok_or(CheckError::Unsupported(format!("unknown queue {id}")))
     }
 }
 
@@ -484,15 +522,15 @@ pub fn run_controlled(
     let module = &program.module;
     let mut machine = Machine {
         program,
-        world: ModelWorld::new(model_cfg.clone()),
+        model: Model {
+            world: ModelWorld::new(model_cfg.clone()),
+            queues: plan.queues.iter().map(|_| VecDeque::new()).collect(),
+            intrinsics: &module.intrinsics,
+            pause: false,
+        },
         budget: step_budget,
-        queues: plan.queues.iter().map(|_| VecDeque::new()).collect(),
-        queue_index: plan
-            .queues
-            .iter()
-            .enumerate()
-            .map(|(i, q)| (q.id, i))
-            .collect(),
+        section: Section::new(plan, &program.registry, &program.injector, &program.exec),
+        log: EventLog::new(false),
         pause_world: model_cfg.pause_at_world_calls,
     };
     let mut globals = PlainGlobals::new(module);
@@ -520,7 +558,7 @@ pub fn run_controlled(
                         "synchronization intrinsic {name} outside a section"
                     )));
                 } else {
-                    let v = machine.world.call(&module.intrinsics, name, &p.args);
+                    let v = machine.model.world.call(&module.intrinsics, name, &p.args);
                     main.resolve_special(v);
                 }
             }
@@ -529,7 +567,7 @@ pub fn run_controlled(
 
     Ok(ControlledOutcome {
         steps: step_budget - machine.budget,
-        world: machine.world,
+        world: machine.model.world,
         globals: snapshot_globals(module, &mut globals),
         log,
     })
@@ -609,18 +647,14 @@ fn run_section<'m>(
 ) -> Result<(), CheckError> {
     let mut workers: Vec<CWorker<'m>> = Vec::with_capacity(plan.workers.len());
     for (i, w) in plan.workers.iter().enumerate() {
-        let mut vm = BcVm::for_name(
-            &machine.program.module,
-            &machine.program.bc,
-            &w.func,
-            &[Value::Int(w.tid), Value::Int(w.nt)],
-        )?;
-        vm.watch_calls_matching("__commset_region_");
+        let program = machine.program;
+        let mut vm = substrate::worker_vm(&program.module, &program.bc, w, true)?;
+        let mut lane = machine.section.lane(i, w.tid);
         // Run the pre-region prefix (private computation) eagerly, in
         // worker order — deterministic and schedule-irrelevant.
-        machine.world.set_worker(i + 1);
-        let state = machine.run_vm(&mut vm, globals, false, &w.func)?;
-        workers.push(CWorker { vm, state });
+        machine.model.world.set_worker(i + 1);
+        let state = machine.run_vm(&mut vm, &mut lane, globals, false, &w.func)?;
+        workers.push(CWorker { vm, state, lane });
     }
 
     loop {
@@ -630,7 +664,7 @@ fn run_section<'m>(
             .enumerate()
             .filter(|(_, w)| match &w.state {
                 WState::AtRegion { .. } | WState::AtWorldCall { .. } => true,
-                WState::BlockedPop(q) => !machine.queues[*q].is_empty(),
+                WState::BlockedPop(q) => !machine.model.queues[*q].is_empty(),
                 WState::Done => false,
             })
             .map(|(i, _)| i)
@@ -639,8 +673,8 @@ fn run_section<'m>(
             if workers.iter().all(|w| w.state == WState::Done) {
                 // Section barrier: every store buffer drains, so the
                 // final write multisets match an SC interleaving.
-                machine.world.flush_all();
-                machine.world.set_worker(0);
+                machine.model.world.flush_all();
+                machine.model.world.set_worker(0);
                 return Ok(());
             }
             return Err(CheckError::Deadlock {
@@ -655,8 +689,8 @@ fn run_section<'m>(
         debug_assert!(ready.contains(&chosen), "scheduler returned non-ready");
         // Every scheduled event is one tick of the store-buffer clock;
         // parked writes older than the window drain before the event runs.
-        machine.world.tick_advance();
-        machine.world.set_worker(chosen + 1);
+        machine.model.world.tick_advance();
+        machine.model.world.set_worker(chosen + 1);
         let w = &mut workers[chosen];
         match w.state.clone() {
             WState::AtRegion { func, args } => {
@@ -666,24 +700,26 @@ fn run_section<'m>(
                     args,
                 });
                 // Execute the region body atomically...
-                let after = machine.run_vm(&mut w.vm, globals, true, &func)?;
+                let after = machine.run_vm(&mut w.vm, &mut w.lane, globals, true, &func)?;
                 w.state = match after {
                     WState::Done => WState::Done,
                     // ...then run to the next pause point.
-                    _ => machine.run_vm(&mut w.vm, globals, false, &func)?,
+                    _ => machine.run_vm(&mut w.vm, &mut w.lane, globals, false, &func)?,
                 };
             }
-            WState::AtWorldCall { name, args } => {
+            WState::AtWorldCall { intrinsic, args } => {
                 // Execute the pending world call (the shard acquisition
                 // the worker paused at), then run to the next pause.
+                let intrinsics = &machine.program.module.intrinsics;
                 let v = machine
+                    .model
                     .world
-                    .call(&machine.program.module.intrinsics, &name, &args);
+                    .call(intrinsics, intrinsics.name(intrinsic), &args);
                 w.vm.resolve_special(v);
-                w.state = machine.run_vm(&mut w.vm, globals, false, "")?;
+                w.state = machine.run_vm(&mut w.vm, &mut w.lane, globals, false, "")?;
             }
             WState::BlockedPop(_) => {
-                w.state = machine.run_vm(&mut w.vm, globals, false, "")?;
+                w.state = machine.run_vm(&mut w.vm, &mut w.lane, globals, false, "")?;
             }
             WState::Done => unreachable!("done workers are not ready"),
         }

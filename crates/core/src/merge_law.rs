@@ -19,7 +19,7 @@
 use crate::spec::EffectsSpec;
 use commset_interp::globals::PlainGlobals;
 use commset_interp::vm::StepOutcome;
-use commset_interp::Vm;
+use commset_interp::{BcModule, BcVm};
 use commset_ir::repr::Module;
 use commset_ir::{lower_program, IntrinsicTable};
 use commset_lang::ast::Type;
@@ -41,10 +41,11 @@ fn merge_diag(chan: &str, func: &str, detail: String) -> Diagnostic {
     )
 }
 
-/// Evaluates the pure Cmm function `func(a, b)` to completion.
-fn eval2(module: &Module, func: &str, a: i64, b: i64) -> Result<i64, String> {
-    let mut vm =
-        Vm::for_name(module, func, &[Value::Int(a), Value::Int(b)]).map_err(|e| e.to_string())?;
+/// Evaluates the pure Cmm function `func(a, b)` of `module`, compiled as
+/// `bc`, to completion.
+fn eval2(module: &Module, bc: &BcModule, func: &str, a: i64, b: i64) -> Result<i64, String> {
+    let mut vm = BcVm::for_name(module, bc, func, &[Value::Int(a), Value::Int(b)])
+        .map_err(|e| e.to_string())?;
     // Fresh globals per call: the operator must behave as a pure
     // function of its arguments, so persistent state is not modeled.
     let mut globals = PlainGlobals::new(module);
@@ -92,6 +93,7 @@ pub fn validate_custom_merges(
     }
     let unit = commset_lang::compile_unit(source)?;
     let module = lower_program(&unit.program, table.clone())?;
+    let bc = BcModule::compile(&module);
     for (chan, func) in customs {
         let Some(id) = module.func_id(func) else {
             return Err(merge_diag(
@@ -114,7 +116,7 @@ pub fn validate_custom_merges(
             ));
         }
         let eval = |a: i64, b: i64| -> Result<i64, Diagnostic> {
-            eval2(&module, func, a, b)
+            eval2(&module, &bc, func, a, b)
                 .map_err(|detail| merge_diag(chan, func, format!("{func}({a}, {b}) {detail}")))
         };
         // Small magnitudes keep the probes inside i64 arithmetic for any
@@ -217,6 +219,26 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.message.contains("signature"), "{err}");
+        let err = check(
+            "extern int probe(int a); int join(int a, int b) { return a + probe(b); } \
+             int main() { return 0; }",
+            "merge ACC custom(join)\n",
+        )
+        .unwrap_err();
+        assert_eq!(
+            err.message,
+            "merge `ACC` custom(join): join(0, 0) calls extern `probe`; \
+             custom merge operators must be pure"
+        );
+        let err = check(
+            "int join(int a, int b) { return a / 0; } int main() { return 0; }",
+            "merge ACC custom(join)\n",
+        )
+        .unwrap_err();
+        assert_eq!(
+            err.message,
+            "merge `ACC` custom(join): join(0, 0) division by zero in `join`"
+        );
     }
 
     #[test]

@@ -21,8 +21,15 @@
 //!   queue and TM models. This is what regenerates the paper's Figure 6 on
 //!   a single-core host.
 //! * [`special`] — [`special::SpecialOp`], the one decode of the runtime
-//!   specials (locks, queues, transactions, `__par_invoke`) every
-//!   executor dispatches on.
+//!   specials (locks, queues, transactions, `__par_invoke`).
+//! * [`substrate`] — the one semantics of those specials and of worker
+//!   world calls, [`substrate::special`], generic over a
+//!   [`substrate::Substrate`] that supplies only the primitives. The DES,
+//!   the thread executor and the checker's controlled executor each
+//!   implement it; `tests/substrate_parity.rs` checks that the DES and
+//!   real threads record the same events per worker, and a CI lint step
+//!   rejects any other non-test source that names a lock, queue or
+//!   transaction special.
 //! * [`thread_exec`] — the real-thread executor (OS threads, the runtime's
 //!   lock-free queues and raw locks), used by the correctness tests.
 //! * [`error`] — structured [`error::ExecError`] diagnostics: dynamic
@@ -39,7 +46,9 @@
 //!
 //! Both parallel executors record one observability event stream
 //! ([`commset_telemetry::event`]): each lock, queue, transaction, region
-//! and world-call event once, behind one check. With
+//! and world-call event once, behind one check, and the lock, queue,
+//! transaction and world-call events at their one site in
+//! [`substrate::special`]. With
 //! `ExecConfig::telemetry` on, the outcome carries a
 //! [`commset_telemetry::RunReport`] (stage balance, lock contention by
 //! rank, queue traffic, unified counters, and the run's trace) projected
@@ -56,6 +65,7 @@ pub mod metrics;
 pub mod seq;
 pub mod sim_exec;
 pub mod special;
+pub mod substrate;
 pub mod supervise;
 pub mod thread_exec;
 pub mod vm;

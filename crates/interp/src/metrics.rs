@@ -6,7 +6,8 @@
 //! the common path), then resolves to names and folds into a
 //! [`MetricsRegistry`] exactly once at worker exit. On the DES the
 //! executor accumulates one of these inline; on real threads each worker
-//! owns one and publishes through a `MetricsSink`.
+//! owns one and hands it to its section barrier at exit, where it is
+//! absorbed into the run's.
 
 use crate::bytecode::{BcModule, OPCODE_NAMES};
 use commset_ir::Module;
@@ -36,6 +37,16 @@ impl MetricsLocal {
         let bf = &bc.funcs[func as usize];
         self.opcodes[bf.ops[pc as usize].kind()] += 1;
         *self.sites.entry(site).or_insert(0) += cost;
+    }
+
+    /// Adds `other`'s retires to this accumulator.
+    pub fn absorb(&mut self, other: MetricsLocal) {
+        for (n, m) in self.opcodes.iter_mut().zip(other.opcodes) {
+            *n += m;
+        }
+        for (site, cost) in other.sites {
+            *self.sites.entry(site).or_insert(0) += cost;
+        }
     }
 
     /// True when nothing has been retired.

@@ -21,9 +21,13 @@
 //! the runner or wake others, so after each one the scheduler picks
 //! afresh.
 //!
-//! Runtime specials are decoded once per run ([`SpecialOp`] plus the
-//! pre-resolved world handler and channel footprint of every intrinsic),
-//! so no name is compared or hashed per call.
+//! Runtime specials mean what [`substrate::special`] says; this executor
+//! supplies the DES [`Substrate`]: the contention models, channel
+//! serialization and the virtual clocks, and it parks a waiting worker
+//! until a release, push or pop wakes it. Intrinsics are decoded once per
+//! run ([`SpecialOp`] plus the pre-resolved world handler and channel
+//! footprint of every intrinsic), so no name is compared or hashed per
+//! call.
 //!
 //! Robustness: every dynamic error and contract violation surfaces as an
 //! [`ExecError`] (no panics); [`run_simulated_with`] additionally injects
@@ -31,26 +35,26 @@
 //! runs the waits-for watchdog, whose report lands in [`SimStats`].
 
 use crate::bytecode::{BcModule, BcVm};
-use crate::config::{ExecConfig, WorldMode};
+use crate::config::ExecConfig;
 use crate::error::ExecError;
 use crate::globals::PlainGlobals;
-use crate::metrics::MetricsLocal;
 use crate::special::SpecialOp;
-use crate::vm::{PendingSpecial, StepOutcome};
+use crate::substrate::{
+    self, Call, ChannelWaits, Moved, Observed, Park, Prim, Section, Step, Substrate,
+};
+use crate::vm::StepOutcome;
 use commset_ir::{ChannelId, EffectSig, Module};
 use commset_runtime::intrinsics::Handler;
 use commset_runtime::{
-    DeltaBuffer, DeltaSnapshot, FaultInjector, FaultStats, IntrinsicOutcome, Registry, Value,
-    Watchdog, WatchdogReport, World, DELTA_POISON_MSG,
+    DeltaSnapshot, FaultInjector, FaultStats, IntrinsicOutcome, Registry, Value, WatchdogReport,
+    World,
 };
-use commset_sim::lock::AcquireOutcome;
+use commset_sim::tm::TxRecord;
 use commset_sim::{CostModel, PopOutcome, PushOutcome, SimLock, SimLockKind, SimQueue, TmModel};
 use commset_telemetry::{
-    ClockUnit, EventKind, EventLog, JournalEvent, MetricsRegistry, Projection, RunCounters,
-    RunReport, SectionMeta,
+    ClockUnit, EventKind, EventLog, JournalEvent, MetricsRegistry, RunCounters, RunReport,
 };
 use commset_transform::{ParallelPlan, SyncMode};
-use std::collections::HashMap;
 
 /// Statistics of one simulated run.
 #[derive(Debug, Clone, Default)]
@@ -72,8 +76,9 @@ pub struct SimStats {
     pub fault: FaultStats,
     /// Waits-for watchdog findings (merged over all sections).
     pub watchdog: WatchdogReport,
-    /// Delta-privatized activity (all zero unless [`WorldMode::Deltas`]
-    /// routed calls into per-worker buffers).
+    /// Delta-privatized activity (all zero unless
+    /// [`WorldMode::Deltas`](crate::WorldMode::Deltas) routed calls into
+    /// per-worker buffers).
     pub delta: DeltaSnapshot,
 }
 
@@ -98,27 +103,6 @@ pub struct SimOutcome {
     pub metrics: Option<MetricsRegistry>,
 }
 
-/// Run-wide observability. The DES is single-threaded, so one event log
-/// serves every virtual worker of the current section, and one local
-/// accumulator takes every retired op.
-struct Observed {
-    /// The current section's events in emission order; `log.on` is the
-    /// check every event site makes.
-    log: EventLog,
-    /// Spans, trace and metric families of the finished sections.
-    proj: Projection,
-    /// Opcode and block retires, when metrics are on.
-    retires: Option<MetricsLocal>,
-}
-
-impl Observed {
-    fn retire(&mut self, bc: &BcModule, site: Option<(u32, u32)>, cost: u64) {
-        if let (Some(r), Some(site)) = (self.retires.as_mut(), site) {
-            r.retire(bc, site, cost);
-        }
-    }
-}
-
 /// Deadline conversion for the DES: [`ExecConfig::deadline_ms`] becomes a
 /// deterministic tick budget (1 ms = 1000 ticks, matching the thread
 /// executor's microsecond-denominated injection costs).
@@ -127,9 +111,7 @@ const TICKS_PER_MS: u64 = 1000;
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum WStatus {
     Ready,
-    BlockedPop(usize),
-    BlockedPush(usize),
-    BlockedLock(usize),
+    Parked(Park),
     Done,
 }
 
@@ -141,9 +123,6 @@ struct Decoded<'a> {
     /// The world handler; `None` when the registry has none, which panics
     /// on call exactly as [`Registry::call`] does.
     handler: Option<&'a Handler>,
-    /// The intrinsic has a declared slot footprint, the precondition for
-    /// a call to delta-route.
-    bound: bool,
     /// Channel ids read or written, each once in declaration order,
     /// per-instance channels left out (they never serialize).
     shared: Vec<usize>,
@@ -204,7 +183,6 @@ impl<'a> RunCtx<'a> {
                 name,
                 sig,
                 handler: registry.get(name),
-                bound: registry.is_bound(name),
                 shared: shared(&[&sig.reads, &sig.writes]),
                 shared_writes: shared(&[&sig.writes]),
             })
@@ -226,10 +204,6 @@ impl<'a> RunCtx<'a> {
             intrinsics,
             channel_names,
         }
-    }
-
-    fn decoded(&self, p: &PendingSpecial) -> &Decoded<'a> {
-        &self.intrinsics[p.intrinsic.0 as usize]
     }
 }
 
@@ -276,12 +250,9 @@ pub fn run_simulated_with(
     let mut vm = BcVm::for_name(module, &bc, "main", &[])?;
     let mut sim_time: u64 = 0;
     let mut stats = SimStats::default();
-    let mut obs = Observed {
-        log: EventLog::new(cfg.telemetry || cfg.metrics),
-        proj: Projection::new(ClockUnit::Ticks, cfg.telemetry),
-        retires: cfg.metrics.then(MetricsLocal::new),
-    };
-    let mut metas: Vec<SectionMeta> = Vec::new();
+    // The DES is single-threaded: one local accumulator takes every
+    // retired op.
+    let mut obs = Observed::new(ClockUnit::Ticks, cfg);
     let mut next_ord = 0usize;
     loop {
         // Sampled before the step so a retired op attributes to the site
@@ -293,42 +264,16 @@ pub fn run_simulated_with(
                 obs.retire(&bc, site, cost);
             }
             StepOutcome::Special(p) => {
-                let d = ctx.decoded(&p);
+                let d = &ctx.intrinsics[p.intrinsic.0 as usize];
                 if d.op == SpecialOp::ParInvoke {
-                    let section = p.args[0].as_int();
-                    let plan = plans
-                        .iter()
-                        .find(|pl| pl.section == section)
-                        .ok_or(ExecError::UnknownSection { section })?;
+                    let ord = next_ord;
                     next_ord += 1;
-                    if let Some(j) = &cfg.journal {
-                        j.record(JournalEvent {
-                            section: Some((next_ord - 1) as u64),
-                            ..JournalEvent::new("section_start", sim_time)
-                                .field("plan_section", section.to_string())
-                                .field("workers", plan.workers.len().to_string())
-                        });
-                    }
-                    let (end, section_stats, meta) = run_section(
-                        &ctx,
-                        plan,
-                        world,
-                        &mut globals,
-                        sim_time,
-                        next_ord - 1,
-                        &mut obs,
-                    )?;
-                    if let Some(j) = &cfg.journal {
-                        j.record(JournalEvent {
-                            section: Some((next_ord - 1) as u64),
-                            ..JournalEvent::new("section_end", end)
-                        });
-                    }
+                    let plan = substrate::open_section(plans, &p.args, cfg, ord, sim_time)?;
+                    let (end, section_stats) =
+                        run_section(&ctx, plan, world, &mut globals, sim_time, ord, &mut obs)?;
+                    substrate::close_section(cfg, ord, end);
                     sim_time = end;
                     merge_stats(&mut stats, section_stats);
-                    if cfg.telemetry {
-                        metas.extend(meta);
-                    }
                     vm.resolve_special(Value::Int(0));
                 } else {
                     let out = d.call(world, &p.args);
@@ -338,42 +283,24 @@ pub fn run_simulated_with(
             }
             StepOutcome::Finished(result) => {
                 stats.fault = injector.stats();
-                let telemetry = cfg.telemetry.then(|| {
-                    let counters = RunCounters {
-                        fault: stats.fault,
-                        watchdog_checks: stats.watchdog.checks,
-                        watchdog_clean: stats.watchdog.is_clean(),
-                        max_blocked: stats.watchdog.max_blocked,
-                        // The DES has no sharded world and no SPSC rings:
-                        // empty-pop counts stand in for empty spins.
-                        shard: Default::default(),
-                        delta: stats.delta,
-                        tm_commits: stats.tm_commits,
-                        tm_aborts: stats.tm_aborts,
-                        tm_fallbacks: stats.tm_fallbacks,
-                        queue_full_spins: 0,
-                        queue_empty_spins: stats.queue_stalls,
-                        queue_drained: 0,
-                    };
-                    obs.proj.report(metas, counters)
-                });
-                let metrics = obs.retires.as_ref().map(|r| {
-                    let mut reg = std::mem::take(&mut obs.proj.metrics);
-                    r.publish(module, &bc, &mut reg);
-                    reg.inc("delta.applies", stats.delta.applies);
-                    reg.inc("delta.coalesces", stats.delta.coalesces);
-                    reg.inc("delta.merged_slots", stats.delta.merged_slots);
-                    reg.inc("delta.lock_elisions", stats.delta.lock_elisions);
-                    reg.inc("tm.commits", stats.tm_commits);
-                    reg.inc("tm.aborts", stats.tm_aborts);
-                    reg.inc("tm.fallbacks", stats.tm_fallbacks);
-                    reg.inc("queue.pushes", stats.queue_pushes);
-                    reg.inc("queue.empty_pops", stats.queue_stalls);
-                    if let Some(j) = &cfg.journal {
-                        j.record_metrics(sim_time, &reg);
-                    }
-                    reg
-                });
+                let counters = RunCounters {
+                    fault: stats.fault,
+                    watchdog_checks: stats.watchdog.checks,
+                    watchdog_clean: stats.watchdog.is_clean(),
+                    max_blocked: stats.watchdog.max_blocked,
+                    // The DES has no sharded world and no SPSC rings:
+                    // empty-pop counts stand in for empty spins.
+                    shard: Default::default(),
+                    delta: stats.delta,
+                    tm_commits: stats.tm_commits,
+                    tm_aborts: stats.tm_aborts,
+                    tm_fallbacks: stats.tm_fallbacks,
+                    queue_full_spins: 0,
+                    queue_empty_spins: stats.queue_stalls,
+                    queue_drained: 0,
+                };
+                let pushes = Some(stats.queue_pushes);
+                let (telemetry, metrics) = obs.finish(module, &bc, cfg, counters, sim_time, pushes);
                 if let Some(j) = &cfg.journal {
                     j.record(
                         JournalEvent::new("sim_finished", sim_time)
@@ -400,33 +327,14 @@ fn merge_stats(into: &mut SimStats, from: SimStats) {
     into.queue_pushes += from.queue_pushes;
     into.queue_stalls += from.queue_stalls;
     into.delta.absorb(from.delta);
-    merge_watchdog(&mut into.watchdog, from.watchdog);
-}
-
-/// Folds one section's watchdog findings into the run's.
-pub(crate) fn merge_watchdog(into: &mut WatchdogReport, from: WatchdogReport) {
-    into.checks += from.checks;
-    for c in from.cycles {
-        if !into.cycles.contains(&c) {
-            into.cycles.push(c);
-        }
-    }
-    for v in from.rank_violations {
-        if !into.rank_violations.contains(&v) {
-            into.rank_violations.push(v);
-        }
-    }
-    into.max_blocked = into.max_blocked.max(from.max_blocked);
+    into.watchdog.absorb(from.watchdog);
 }
 
 struct Worker<'m> {
     vm: BcVm<'m>,
     clock: u64,
     status: WStatus,
-    tx: Option<commset_sim::tm::TxRecord>,
-    /// Modeled optimistic aborts of the in-flight transaction (drives the
-    /// starvation fallback to the rank-0 global lock).
-    tx_aborts: u64,
+    tx: Option<TxRecord>,
     /// True when retrying a lock acquisition after having blocked on it
     /// (pays the contention penalty).
     lock_retry: bool,
@@ -459,36 +367,201 @@ fn still_first(clock: u64, i: usize, rival: Option<(u64, usize)>) -> bool {
     rival.is_none_or(|r| (clock, i) < r)
 }
 
-/// The substrate of one parallel section: the contention models and the
-/// per-section lookup tables every special consults.
-struct SectionState {
+/// The contention models of one parallel section.
+struct Models {
     locks: Vec<SimLock>,
     queues: Vec<SimQueue>,
-    /// Queue id -> index into `queues` (ids may be sparse in principle).
-    queue_index: HashMap<i64, usize>,
     tm: TmModel,
-    watchdog: Option<Watchdog>,
     /// Channel id -> tick at which its in-flight writer finishes.
     channel_free: Vec<u64>,
-    /// One buffer per worker under delta privatization, else empty.
-    delta_bufs: Vec<DeltaBuffer>,
-    /// Lock rank -> elided under delta privatization.
-    elided: Vec<bool>,
 }
 
-impl SectionState {
-    fn qidx(&self, args: &[Value]) -> Result<usize, ExecError> {
-        let id = args[0].as_int();
-        self.queue_index
-            .get(&id)
-            .copied()
-            .ok_or(ExecError::UnknownQueue { id })
+/// The DES substrate of one special: the section's models, with every
+/// worker's clock and status in reach for wakes.
+struct Des<'s, 'm> {
+    ctx: &'s RunCtx<'m>,
+    models: &'s mut Models,
+    workers: &'s mut [Worker<'m>],
+    world: &'s mut World,
+    /// Events are recorded: world calls attribute channel waits.
+    observe: bool,
+}
+
+impl Des<'_, '_> {
+    /// Readies every worker parked on `park`; the scheduler serves them
+    /// in clock order and the losers park again.
+    fn wake(&mut self, park: Park) {
+        for wk in self.workers.iter_mut() {
+            if wk.status == WStatus::Parked(park) {
+                wk.status = WStatus::Ready;
+            }
+        }
+    }
+
+    /// Settles a queue attempt of worker `w` on queue `q` made at
+    /// `attempt`. A refused one starts a wait. A completed one — `(bits,
+    /// end)` — moves the clock to its end and wakes the workers parked on
+    /// `wake`.
+    fn moved(
+        &mut self,
+        w: usize,
+        q: usize,
+        attempt: u64,
+        done: Option<(u64, u64)>,
+        wake: Park,
+    ) -> Prim<Moved> {
+        let Some((bits, end)) = done else {
+            return Prim::wait(Some(attempt));
+        };
+        self.workers[w].clock = end;
+        self.wake(wake);
+        let occupancy = self.models.queues[q].len() as u64;
+        Prim::done(Moved {
+            attempt,
+            occupancy,
+            bits,
+        })
+    }
+}
+
+impl Substrate for Des<'_, '_> {
+    fn now(&self, w: usize) -> u64 {
+        self.workers[w].clock
+    }
+
+    fn delay(&mut self, w: usize, t: u64) {
+        self.workers[w].clock += t;
+    }
+
+    fn lock(&mut self, w: usize, rank: usize) -> Result<Prim<u64>, ExecError> {
+        let wk = &mut self.workers[w];
+        let (t, retry) = (wk.clock, wk.lock_retry);
+        Ok(
+            match self.models.locks[rank].request(t, &mut wk.lock_retry, self.ctx.cm) {
+                Some(granted) => {
+                    wk.clock = granted;
+                    Prim::done(granted)
+                }
+                // A refused retry is still the first refusal's wait.
+                None => Prim::wait((!retry).then_some(t)),
+            },
+        )
+    }
+
+    fn unlock(&mut self, w: usize, rank: usize) -> u64 {
+        let t = self.workers[w].clock;
+        self.workers[w].clock = self.models.locks[rank].release(t, self.ctx.cm);
+        self.wake(Park::Lock(rank));
+        t
+    }
+
+    fn push(&mut self, w: usize, q: usize, bits: u64) -> Result<Prim<Moved>, ExecError> {
+        let t = self.workers[w].clock;
+        let done = match self.models.queues[q].push(t, bits, self.ctx.cm) {
+            PushOutcome::Pushed(end) => Some((bits, end)),
+            PushOutcome::Full => None,
+        };
+        Ok(self.moved(w, q, t, done, Park::Pop(q)))
+    }
+
+    fn pop(&mut self, w: usize, q: usize) -> Result<Prim<Moved>, ExecError> {
+        let t = self.workers[w].clock;
+        let done = match self.models.queues[q].pop(t, self.ctx.cm) {
+            PopOutcome::Popped(bits, end) => Some((bits, end)),
+            PopOutcome::Empty => None,
+        };
+        Ok(self.moved(w, q, t, done, Park::Push(q)))
+    }
+
+    fn tx_begin(&mut self, w: usize) -> Result<u64, ExecError> {
+        let cm = self.ctx.cm;
+        let wk = &mut self.workers[w];
+        let t = wk.clock;
+        wk.clock = t + cm.tx_begin;
+        wk.tx = Some(self.models.tm.begin(t, cm));
+        Ok(t)
+    }
+
+    fn tx_commit(&mut self, w: usize) -> u64 {
+        let (cfg, injector) = (self.ctx.cfg, self.ctx.injector);
+        let wk = &mut self.workers[w];
+        // The semantics commits only a transaction it opened.
+        let Some(tx) = wk.tx.take() else {
+            return 0;
+        };
+        let backoff = (
+            u64::from(cfg.backoff.max_aborts),
+            u64::from(cfg.backoff.base_spins),
+        );
+        let (done, aborts) =
+            (self.models.tm).commit_retrying(tx, wk.clock, self.ctx.cm, backoff, || {
+                injector.force_stm_abort()
+            });
+        wk.clock = done;
+        aborts
+    }
+
+    fn world(&mut self, w: usize, call: Call<'_>) -> Option<(Value, ChannelWaits)> {
+        // Readers wait for in-flight writers of their channels, and the
+        // execution holds its write channels for its duration (the
+        // internally-thread-safe world).
+        let d = &self.ctx.intrinsics[call.id];
+        let (channel_free, wk) = (&mut self.models.channel_free, &mut self.workers[w]);
+        let out = d.call(self.world, call.args);
+        let cost = d.sig.base_cost + out.extra_cost;
+        // Private compute overlaps across cores; only the serialized
+        // portion holds the intrinsic's write channels (readers wait for
+        // in-flight writers). Instance-partitioned channels hold
+        // per-instance state and never serialize across workers (each
+        // instance is its own cache lines), so `shared` leaves them out.
+        let ser = out.serialized_cost.unwrap_or(cost).min(cost);
+        let base_start = wk.clock + cost - ser;
+        let start = d
+            .shared
+            .iter()
+            .map(|&c| channel_free[c])
+            .fold(base_start, u64::max);
+        let done = start + ser;
+        // Per-channel contention attribution: how long each serialized
+        // channel alone would have delayed this call past its ready point
+        // (passive — `start` is settled).
+        let channel_waits = if self.observe && start > base_start {
+            d.shared
+                .iter()
+                .map(|&c| (c, channel_free[c].saturating_sub(base_start)))
+                .filter(|&(_, wait)| wait > 0)
+                .collect()
+        } else {
+            Vec::new()
+        };
+        if ser > 0 {
+            for &c in &d.shared_writes {
+                channel_free[c] = done;
+            }
+        }
+        wk.clock = done;
+        if let Some(tx) = &mut wk.tx {
+            let channels = &self.ctx.module.intrinsics.channels;
+            tx.work += cost;
+            for c in &d.sig.reads {
+                tx.reads.insert(channels.name(*c).to_string());
+            }
+            for c in &d.sig.writes {
+                tx.writes.insert(channels.name(*c).to_string());
+            }
+        }
+        Some((out.value, channel_waits))
+    }
+
+    fn private(&mut self, w: usize, call: Call<'_>, out: &IntrinsicOutcome) {
+        // A merge-covered call runs against the worker-private buffer with
+        // no channel serialization: its whole cost overlaps across cores.
+        self.workers[w].clock += self.ctx.intrinsics[call.id].sig.base_cost + out.extra_cost;
     }
 }
 
 /// Executes one parallel section, the `ord`-th of the run, and projects
-/// its events; returns (end time, stats, section metadata when
-/// observability is on).
+/// its events; returns its end time and stats.
 fn run_section<'m>(
     ctx: &RunCtx<'m>,
     plan: &ParallelPlan,
@@ -497,26 +570,21 @@ fn run_section<'m>(
     start: u64,
     ord: usize,
     obs: &mut Observed,
-) -> Result<(u64, SimStats, Option<SectionMeta>), ExecError> {
-    let (registry, cm, cfg, injector) = (ctx.registry, ctx.cm, ctx.cfg, ctx.injector);
+) -> Result<(u64, SimStats), ExecError> {
+    let (cm, cfg) = (ctx.cm, ctx.cfg);
+    // Under delta privatization merge-covered calls take no channel
+    // serialization at all (the modeled analogue of taking no shard
+    // lock); the buffers fold back into the world in worker-index order
+    // at the section end.
+    let sec = Section::new(plan, ctx.registry, ctx.injector, cfg);
+    // One event log serves every virtual worker of the section, in
+    // emission order.
+    let mut log = EventLog::new(cfg.telemetry || cfg.metrics);
     let lock_kind = match plan.sync {
         SyncMode::Spin => SimLockKind::Spin,
         _ => SimLockKind::Mutex,
     };
-    let mut queue_index: HashMap<i64, usize> = HashMap::new();
-    let mut queues: Vec<SimQueue> = Vec::new();
-    for q in &plan.queues {
-        queue_index.insert(q.id, queues.len());
-        queues.push(SimQueue::new(injector.clamp_capacity(q.capacity)));
-    }
-    // Delta privatization: merge-covered calls run against per-worker
-    // buffers with no channel serialization at all (the modeled analogue
-    // of taking no shard lock); the buffers fold back into the world in
-    // worker-index order at the section end. Pipeline sections (queues
-    // present) keep the serialized discipline.
-    let delta_on =
-        matches!(cfg.world, WorldMode::Deltas) && registry.has_merges() && plan.queues.is_empty();
-    let mut sec = SectionState {
+    let mut models = Models {
         locks: plan
             .locks
             .iter()
@@ -526,60 +594,32 @@ fn run_section<'m>(
                 l
             })
             .collect(),
-        queue_index,
+        queues: plan
+            .queues
+            .iter()
+            .map(|q| SimQueue::new(ctx.injector.clamp_capacity(q.capacity)))
+            .collect(),
         tm: TmModel::new(),
-        watchdog: cfg.watchdog.then(Watchdog::new),
         // The virtual world is internally thread-safe (the paper's "Lib"
         // discipline): each intrinsic execution serializes on the
         // channels it writes, and readers wait for in-flight writers.
         // This is what makes I/O-channel saturation emerge at high
         // thread counts.
         channel_free: vec![0; ctx.module.intrinsics.channels.len()],
-        delta_bufs: if delta_on {
-            (0..plan.workers.len())
-                .map(|_| DeltaBuffer::new())
-                .collect()
-        } else {
-            Vec::new()
-        },
-        // Static lock elision: a CommSet region lock whose guarded
-        // intrinsics are all delta-covered serializes nothing — every
-        // effect in the region lands in a worker-private buffer,
-        // invisible to siblings until the barrier, and the declared
-        // merges make the coalesce order immaterial. Synthetic locks
-        // (`__reduction`) have no members and are never elided.
-        elided: plan
-            .locks
-            .iter()
-            .map(|ls| {
-                delta_on
-                    && !ls.members.is_empty()
-                    && ls.members.iter().all(|m| registry.delta_covered(m))
-            })
-            .collect(),
-        queues,
     };
 
     let spawn_t = start + cm.par_spawn;
     let mut workers: Vec<Worker<'m>> = Vec::with_capacity(plan.workers.len());
-    for w in &plan.workers {
-        let mut vm = BcVm::for_name(
-            ctx.module,
-            ctx.bc,
-            &w.func,
-            &[Value::Int(w.tid), Value::Int(w.nt)],
-        )?;
-        if cfg.telemetry {
-            vm.watch_calls_matching("__commset_region_");
-        }
+    let mut lanes = Vec::with_capacity(plan.workers.len());
+    for (k, w) in plan.workers.iter().enumerate() {
         workers.push(Worker {
-            vm,
+            vm: substrate::worker_vm(ctx.module, ctx.bc, w, cfg.telemetry)?,
             clock: spawn_t,
             status: WStatus::Ready,
             tx: None,
-            tx_aborts: 0,
             lock_retry: false,
         });
+        lanes.push(sec.lane(k, w.tid));
     }
 
     loop {
@@ -642,22 +682,32 @@ fn run_section<'m>(
                     true
                 }
                 StepOutcome::Special(p) => {
-                    handle_special(
+                    let d = &ctx.intrinsics[p.intrinsic.0 as usize];
+                    let call = Call {
+                        id: p.intrinsic.0 as usize,
+                        name: d.name,
+                        args: &p.args,
+                    };
+                    let mut des = Des {
                         ctx,
-                        &mut sec,
-                        world,
-                        plan,
-                        &mut workers,
-                        i,
-                        &p,
-                        &mut obs.log,
-                    )?;
+                        models: &mut models,
+                        workers: &mut workers,
+                        world: &mut *world,
+                        observe: log.on,
+                    };
+                    match substrate::special(&sec, &mut des, &mut lanes[i], &mut log, d.op, call)? {
+                        Step::Value(v) => workers[i].vm.resolve_special(v),
+                        Step::Wait(park) => {
+                            workers[i].vm.retry_special_later();
+                            workers[i].status = WStatus::Parked(park);
+                        }
+                    }
                     true
                 }
             };
-            if obs.log.on {
+            if log.on {
                 for ev in workers[i].vm.drain_call_events() {
-                    obs.log.record(i, workers[i].clock, ev.into());
+                    log.record(i, workers[i].clock, ev.into());
                 }
             }
             if repick || !still_first(workers[i].clock, i, rival) {
@@ -670,39 +720,29 @@ fn run_section<'m>(
     // worker-index order (then slot-name order inside each buffer). The
     // DES has no panic containment, so an injected poison surfaces as the
     // same structured error the thread executor's containment produces.
-    let mut delta = DeltaSnapshot::default();
-    for buf in sec.delta_bufs.drain(..) {
-        delta.lock_elisions += buf.lock_elisions;
-        if buf.is_empty() {
-            continue;
-        }
-        if injector.delta_poison_now() {
-            return Err(ExecError::WorkerFailed {
-                stage: "__delta_coalesce".into(),
-                cause: DELTA_POISON_MSG.into(),
-            });
-        }
-        delta.coalesces += 1;
-        delta.applies += buf.applies;
-        let mut buf_slots = 0u64;
-        for (slot, d) in buf.drain() {
-            buf_slots += 1;
-            let spec = registry
-                .merge_of(&slot)
-                .expect("delta-routed slot has a merge spec");
-            delta.merged_slots += 1;
-            match world.take_boxed(&slot) {
-                Some(mut base) => {
-                    spec.apply(base.as_mut(), d);
-                    world.install_boxed(slot, base);
+    let delta = substrate::coalesce(
+        lanes.iter_mut().filter_map(|l| l.delta.take()),
+        ctx.injector,
+        cfg.metrics.then_some(&mut obs.proj.metrics),
+        |buf| {
+            let mut slots = 0;
+            for (slot, d) in buf.drain() {
+                slots += 1;
+                let spec = ctx
+                    .registry
+                    .merge_of(&slot)
+                    .expect("delta-routed slot has a merge spec");
+                match world.take_boxed(&slot) {
+                    Some(mut base) => {
+                        spec.apply(base.as_mut(), d);
+                        world.install_boxed(slot, base);
+                    }
+                    None => world.install_boxed(slot, d),
                 }
-                None => world.install_boxed(slot, d),
             }
-        }
-        if ctx.cfg.metrics {
-            obs.proj.metrics.observe("delta.merge_slots", buf_slots);
-        }
-    }
+            slots
+        },
+    )?;
 
     let end = workers
         .iter()
@@ -711,337 +751,40 @@ fn run_section<'m>(
         .unwrap_or(start)
         .max(start)
         + cm.par_spawn;
-    let meta = if obs.log.on {
+    if log.on {
         for (k, w) in workers.iter().enumerate() {
             let exit = EventKind::WorkerExit { spawned: spawn_t };
-            obs.log.record(k, w.clock, exit);
+            log.record(k, w.clock, exit);
         }
-        let meta = SectionMeta {
-            section: ord,
-            stage_desc: plan.stage_desc.clone(),
-            worker_stage: plan.workers.iter().map(|w| w.stage).collect(),
-            locks: plan.locks.iter().map(|l| l.set.clone()).collect(),
-            queues: plan.queues.iter().map(|q| (q.id, q.what.clone())).collect(),
-            // The DES has no SPSC rings: empty-pop counts stand in for
-            // empty spins, the full side has no modeled counter.
-            queue_spins: sec.queues.iter().map(|q| (0, q.empty_pops)).collect(),
-            span: (start, end),
-        };
-        obs.proj.section(&meta, &ctx.channel_names, obs.log.take());
-        Some(meta)
-    } else {
-        None
-    };
+        // The DES has no SPSC rings: empty-pop counts stand in for empty
+        // spins, the full side has no modeled counter.
+        let spins = models.queues.iter().map(|q| (0, q.empty_pops)).collect();
+        obs.section(
+            plan,
+            ord,
+            spins,
+            (start, end),
+            &ctx.channel_names,
+            log.take(),
+        );
+    }
     let stats = SimStats {
         lock_contention: plan
             .locks
             .iter()
-            .zip(&sec.locks)
+            .zip(&models.locks)
             .map(|(spec, l)| (spec.set.clone(), l.contention_ratio()))
             .collect(),
-        tm_commits: sec.tm.commits,
-        tm_aborts: sec.tm.aborts,
-        tm_fallbacks: sec.tm.fallbacks,
-        queue_pushes: sec.queues.iter().map(|q| q.pushes).sum(),
-        queue_stalls: sec.queues.iter().map(|q| q.empty_pops).sum(),
+        tm_commits: models.tm.commits,
+        tm_aborts: models.tm.aborts,
+        tm_fallbacks: models.tm.fallbacks,
+        queue_pushes: models.queues.iter().map(|q| q.pushes).sum(),
+        queue_stalls: models.queues.iter().map(|q| q.empty_pops).sum(),
         fault: FaultStats::default(),
         watchdog: sec.watchdog.map(|wd| wd.report()).unwrap_or_default(),
         delta,
     };
-    Ok((end, stats, meta))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn handle_special(
-    ctx: &RunCtx<'_>,
-    sec: &mut SectionState,
-    world: &mut World,
-    plan: &ParallelPlan,
-    workers: &mut [Worker<'_>],
-    i: usize,
-    p: &PendingSpecial,
-    log: &mut EventLog,
-) -> Result<(), ExecError> {
-    let (cm, cfg, injector) = (ctx.cm, ctx.cfg, ctx.injector);
-    let d = ctx.decoded(p);
-    // A stalled worker pauses at its synchronization events; a slow
-    // worker pays its drag at every one of them.
-    let stall =
-        injector.worker_stall(plan.workers[i].tid) + injector.slow_worker(plan.workers[i].tid);
-    workers[i].clock += stall;
-    match d.op {
-        SpecialOp::LockAcquire => {
-            let l = p.args[0].as_int() as usize;
-            if sec.elided.get(l).copied().unwrap_or(false) {
-                // Delta privatization covers everything this lock guards:
-                // grant immediately with no lock state touched.
-                if let Some(buf) = sec.delta_bufs.get_mut(i) {
-                    buf.lock_elisions += 1;
-                }
-                workers[i].vm.resolve_special(Value::Int(0));
-                return Ok(());
-            }
-            let t = workers[i].clock;
-            let was_blocked = workers[i].lock_retry;
-            if let Some(wd) = &sec.watchdog {
-                wd.acquiring(i, l);
-            }
-            match sec.locks[l].try_acquire(t, was_blocked, cm) {
-                AcquireOutcome::Granted(grant) => {
-                    if was_blocked {
-                        sec.locks[l].pending = sec.locks[l].pending.saturating_sub(1);
-                        workers[i].lock_retry = false;
-                    }
-                    if let Some(wd) = &sec.watchdog {
-                        wd.acquired(i, l);
-                    }
-                    workers[i].clock = grant + injector.lock_grant_delay();
-                    if log.on {
-                        let acquire = EventKind::LockAcquire {
-                            rank: l,
-                            attempt: t,
-                            granted: grant,
-                        };
-                        log.record(i, workers[i].clock, acquire);
-                    }
-                    workers[i].vm.resolve_special(Value::Int(0));
-                }
-                AcquireOutcome::Held => {
-                    if !was_blocked {
-                        sec.locks[l].pending += 1;
-                        workers[i].lock_retry = true;
-                        if log.on {
-                            log.record(i, t, EventKind::Block);
-                        }
-                    }
-                    workers[i].vm.retry_special_later();
-                    workers[i].status = WStatus::BlockedLock(l);
-                }
-            }
-        }
-        SpecialOp::LockRelease => {
-            let l = p.args[0].as_int() as usize;
-            if sec.elided.get(l).copied().unwrap_or(false) {
-                workers[i].vm.resolve_special(Value::Int(0));
-                return Ok(());
-            }
-            let t = workers[i].clock;
-            workers[i].clock = sec.locks[l].release(t, cm);
-            if let Some(wd) = &sec.watchdog {
-                wd.released(i, l);
-            }
-            if log.on {
-                let release = EventKind::LockRelease { rank: l, held: t };
-                log.record(i, workers[i].clock, release);
-            }
-            workers[i].vm.resolve_special(Value::Int(0));
-            // Wake the blocked requesters; the scheduler grants in clock
-            // order, the rest re-block.
-            for w in workers.iter_mut() {
-                if w.status == WStatus::BlockedLock(l) {
-                    w.status = WStatus::Ready;
-                }
-            }
-        }
-        SpecialOp::QueuePush => {
-            let q = sec.qidx(&p.args)?;
-            let bits = p.args[1].to_bits();
-            workers[i].clock += injector.queue_stall_delay();
-            let attempt = workers[i].clock;
-            match sec.queues[q].push(workers[i].clock, bits, cm) {
-                PushOutcome::Pushed(t) => {
-                    workers[i].clock = t;
-                    if log.on {
-                        let push = EventKind::QueuePush {
-                            queue: p.args[0].as_int(),
-                            attempt,
-                            occupancy: sec.queues[q].len() as u64,
-                        };
-                        log.record(i, t, push);
-                    }
-                    workers[i].vm.resolve_special(Value::Int(0));
-                    // Wake a consumer blocked on this queue.
-                    for w in workers.iter_mut() {
-                        if w.status == WStatus::BlockedPop(q) {
-                            w.status = WStatus::Ready;
-                        }
-                    }
-                }
-                PushOutcome::Full => {
-                    if log.on {
-                        log.record(i, attempt, EventKind::Block);
-                    }
-                    workers[i].vm.retry_special_later();
-                    workers[i].status = WStatus::BlockedPush(q);
-                }
-            }
-        }
-        SpecialOp::QueuePop { float } => {
-            let q = sec.qidx(&p.args)?;
-            workers[i].clock += injector.queue_stall_delay();
-            let attempt = workers[i].clock;
-            match sec.queues[q].pop(workers[i].clock, cm) {
-                PopOutcome::Popped(bits, t) => {
-                    workers[i].clock = t;
-                    if log.on {
-                        let pop = EventKind::QueuePop {
-                            queue: p.args[0].as_int(),
-                            attempt,
-                            occupancy: sec.queues[q].len() as u64,
-                        };
-                        log.record(i, t, pop);
-                    }
-                    workers[i].vm.resolve_special(Value::from_bits(bits, float));
-                    for w in workers.iter_mut() {
-                        if w.status == WStatus::BlockedPush(q) {
-                            w.status = WStatus::Ready;
-                        }
-                    }
-                }
-                PopOutcome::Empty => {
-                    if log.on {
-                        log.record(i, attempt, EventKind::Block);
-                    }
-                    workers[i].vm.retry_special_later();
-                    workers[i].status = WStatus::BlockedPop(q);
-                }
-            }
-        }
-        SpecialOp::TxBegin => {
-            let t = workers[i].clock;
-            workers[i].clock = t + cm.tx_begin;
-            workers[i].tx = Some(sec.tm.begin(t, cm));
-            workers[i].tx_aborts = 0;
-            if log.on {
-                log.record(i, t, EventKind::TxBegin);
-            }
-            workers[i].vm.resolve_special(Value::Int(0));
-        }
-        SpecialOp::TxCommit => {
-            let mut tx = workers[i]
-                .tx
-                .take()
-                .ok_or(ExecError::TxCommitWithoutBegin)?;
-            loop {
-                let t = workers[i].clock;
-                // A starving transaction escalates to the modeled rank-0
-                // global lock: pessimistic but guaranteed to commit.
-                if workers[i].tx_aborts > u64::from(cfg.backoff.max_aborts) {
-                    workers[i].clock = sec.tm.commit_pessimistic(&tx, t, cm);
-                    break;
-                }
-                let outcome = if injector.force_stm_abort() {
-                    Err(sec.tm.forced_abort(&tx, t, cm))
-                } else {
-                    sec.tm.commit(&tx, t, cm)
-                };
-                match outcome {
-                    Ok(done) => {
-                        workers[i].clock = done;
-                        break;
-                    }
-                    Err(wasted) => {
-                        workers[i].tx_aborts += 1;
-                        // Back off (modeled as spin cycles), then redo the
-                        // transaction's work after the wasted time.
-                        let backoff =
-                            u64::from(cfg.backoff.base_spins) << workers[i].tx_aborts.min(8);
-                        workers[i].clock = t + wasted + backoff + tx.work;
-                        tx.start = workers[i].clock;
-                    }
-                }
-            }
-            if log.on {
-                let commit = EventKind::TxCommit {
-                    aborts: workers[i].tx_aborts,
-                };
-                log.record(i, workers[i].clock, commit);
-            }
-            workers[i].tx_aborts = 0;
-            workers[i].vm.resolve_special(Value::Int(0));
-        }
-        SpecialOp::ParInvoke => return Err(ExecError::NestedParallelSection),
-        SpecialOp::World => {
-            // Ordinary world intrinsic: readers wait for in-flight writers
-            // of their channels, and the execution holds its write channels
-            // for its duration (the internally-thread-safe world).
-            let base = d.sig.base_cost;
-            // Delta fast path: a merge-covered call runs against the
-            // worker-private buffer with no channel serialization — the
-            // whole cost overlaps across cores.
-            if !sec.delta_bufs.is_empty() && d.bound {
-                if let Some(slots) = ctx.registry.delta_route(d.name, &p.args) {
-                    let out = sec.delta_bufs[i].apply(ctx.registry, d.name, &p.args, &slots);
-                    let done = workers[i].clock + base + out.extra_cost;
-                    if log.on {
-                        let call = EventKind::WorldCall {
-                            intrinsic: d.name.to_string(),
-                            args: p.args.clone(),
-                            start: workers[i].clock,
-                            channel_waits: Vec::new(),
-                        };
-                        log.record(i, done, call);
-                    }
-                    workers[i].clock = done;
-                    workers[i].vm.resolve_special(out.value);
-                    return Ok(());
-                }
-            }
-            let out = d.call(world, &p.args);
-            let cost = base + out.extra_cost;
-            // Private compute overlaps across cores; only the serialized
-            // portion holds the intrinsic's write channels (readers wait
-            // for in-flight writers). Instance-partitioned channels hold
-            // per-instance state and never serialize across workers
-            // (each instance is its own cache lines), so `shared` leaves
-            // them out.
-            let ser = out.serialized_cost.unwrap_or(cost).min(cost);
-            let par = cost - ser;
-            let base_start = workers[i].clock + par;
-            let start = d
-                .shared
-                .iter()
-                .map(|&c| sec.channel_free[c])
-                .fold(base_start, u64::max);
-            let done = start + ser;
-            if log.on {
-                // Per-channel contention attribution: how long each
-                // serialized channel alone would have delayed this call
-                // past its ready point (passive — `start` is settled).
-                let channel_waits = d
-                    .shared
-                    .iter()
-                    .map(|&c| (c, sec.channel_free[c].saturating_sub(base_start)))
-                    .filter(|&(_, wait)| start > base_start && wait > 0)
-                    .collect();
-                let call = EventKind::WorldCall {
-                    intrinsic: d.name.to_string(),
-                    args: p.args.clone(),
-                    start: workers[i].clock,
-                    channel_waits,
-                };
-                log.record(i, done, call);
-            }
-            if ser > 0 {
-                for &c in &d.shared_writes {
-                    sec.channel_free[c] = done;
-                }
-            }
-            workers[i].clock = done;
-            if let Some(tx) = &mut workers[i].tx {
-                let channels = &ctx.module.intrinsics.channels;
-                tx.work += cost;
-                for c in &d.sig.reads {
-                    tx.reads.insert(channels.name(*c).to_string());
-                }
-                for c in &d.sig.writes {
-                    tx.writes.insert(channels.name(*c).to_string());
-                }
-            }
-            workers[i].vm.resolve_special(out.value);
-        }
-    }
-    Ok(())
+    Ok((end, stats))
 }
 
 #[cfg(test)]

@@ -8,6 +8,10 @@
 //! concurrent execution. TM mode falls back to a single global mutex here
 //! (pessimistic but correct); the simulated executor models optimism.
 //!
+//! Runtime specials mean what [`substrate::special`] says; this executor
+//! supplies the real-thread [`Substrate`], whose primitives block in
+//! place.
+//!
 //! Robustness: a worker that hits a dynamic error — or *panics* inside a
 //! registry intrinsic — no longer takes the process down. The failure is
 //! contained (`catch_unwind` plus join-handle inspection), a shared cancel
@@ -20,8 +24,10 @@ use crate::config::{ExecConfig, WorldMode};
 use crate::error::ExecError;
 use crate::globals::{AtomicGlobals, SharedGlobals};
 use crate::metrics::MetricsLocal;
-use crate::sim_exec::merge_watchdog;
 use crate::special::SpecialOp;
+use crate::substrate::{
+    self, Call, ChannelWaits, Lane, Moved, Observed, Prim, Section, Step, Substrate,
+};
 use crate::vm::StepOutcome;
 use commset_ir::Module;
 use commset_runtime::intrinsics::IntrinsicOutcome;
@@ -30,15 +36,13 @@ use commset_runtime::sharded::{ShardObserver, ShardStatsSnapshot, ShardedWorld, 
 use commset_runtime::sync::Mutex;
 use commset_runtime::world::SlotError;
 use commset_runtime::{
-    DeltaBuffer, DeltaSnapshot, FaultInjector, FaultStats, Registry, SpscQueue, Value, Watchdog,
-    WatchdogReport, World, DELTA_POISON_MSG,
+    DeltaSnapshot, FaultInjector, FaultStats, Registry, SpscQueue, Value, WatchdogReport, World,
 };
 use commset_telemetry::{
-    ClockUnit, Event, EventKind, EventLog, JournalEvent, MetricsRegistry, MetricsSink, Projection,
-    RunCounters, RunReport, SectionMeta,
+    ClockUnit, EventKind, EventLog, JournalEvent, MetricsRegistry, RunCounters, RunReport,
 };
-use commset_transform::{ParallelPlan, SyncMode};
-use std::collections::{HashMap, VecDeque};
+use commset_transform::{ParallelPlan, SyncMode, WorkerSpec};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -135,7 +139,8 @@ pub struct ThreadOutcome {
     /// The merged metrics registry (opcode retires, hot-block ranks,
     /// lock/channel wait histograms, queue occupancy, delta merge
     /// sizes), present iff [`ExecConfig::metrics`] was on. Each worker
-    /// records into private local state and publishes once at exit.
+    /// records into private local state and hands it to the section
+    /// barrier at exit.
     pub metrics: Option<MetricsRegistry>,
 }
 
@@ -158,6 +163,29 @@ pub fn run_threaded(
     run_threaded_with(module, registry, plans, world, &ExecConfig::default())
 }
 
+/// The run-wide context every section shares.
+struct Run<'a> {
+    module: &'a Module,
+    /// The compiled program every worker runs.
+    bc: &'a BcModule,
+    /// The decoded intrinsics, indexed by `IntrinsicId`.
+    ops: &'a [SpecialOp],
+    registry: &'a Registry,
+    globals: &'a Arc<AtomicGlobals>,
+    world: &'a WorldStore,
+    cfg: &'a ExecConfig,
+    injector: &'a FaultInjector,
+    /// The run's epoch: event timestamps are nanoseconds since this
+    /// instant.
+    epoch: Instant,
+}
+
+impl Run<'_> {
+    fn elapsed(&self) -> u64 {
+        self.epoch.elapsed().as_nanos() as u64
+    }
+}
+
 /// [`run_threaded`] with explicit fault-injection and watchdog
 /// configuration (delays and stalls are realized as microsecond sleeps).
 ///
@@ -171,7 +199,7 @@ pub fn run_threaded_with(
     world: World,
     cfg: &ExecConfig,
 ) -> Result<ThreadOutcome, ExecError> {
-    let start = Instant::now();
+    let epoch = Instant::now();
     let injector = FaultInjector::new(cfg.fault.clone());
     let bc = BcModule::compile(module);
     let shared_globals = AtomicGlobals::new(module);
@@ -179,70 +207,37 @@ pub fn run_threaded_with(
     let mut globals = SharedGlobals::new(Arc::clone(&shared_globals));
     let mut vm = BcVm::for_name(module, &bc, "main", &[])?;
     let ops = SpecialOp::decode_table(&module.intrinsics);
+    let run = Run {
+        module,
+        bc: &bc,
+        ops: &ops,
+        registry,
+        globals: &shared_globals,
+        world: &world,
+        cfg,
+        injector: &injector,
+        epoch,
+    };
     let mut stats = ThreadStats::default();
-    let mut proj = Projection::new(ClockUnit::Nanos, cfg.telemetry);
-    let msink = cfg.metrics.then(MetricsSink::new);
-    let mut mlocal = cfg.metrics.then(MetricsLocal::new);
-    let mut metas: Vec<SectionMeta> = Vec::new();
+    // Every retired op of the run — main thread and workers — lands in
+    // `obs.retires`.
+    let mut obs = Observed::new(ClockUnit::Nanos, cfg);
     let mut next_ord = 0usize;
     let result = loop {
         // Sampled before the step so a retired op attributes to the site
         // that produced it (main-thread sequential work).
-        let site = if mlocal.is_some() { vm.site() } else { None };
+        let site = obs.retires.as_ref().and_then(|_| vm.site());
         match vm.step(&mut globals)? {
-            StepOutcome::Ran { cost } => {
-                if let (Some(ml), Some(site)) = (mlocal.as_mut(), site) {
-                    ml.retire(&bc, site, cost);
-                }
-            }
+            StepOutcome::Ran { cost } => obs.retire(&bc, site, cost),
             StepOutcome::Special(p) => {
                 let name = module.intrinsics.name(p.intrinsic.0 as usize);
                 let op = ops[p.intrinsic.0 as usize];
                 if op == SpecialOp::ParInvoke {
-                    let section = p.args[0].as_int();
-                    let plan = plans
-                        .iter()
-                        .find(|pl| pl.section == section)
-                        .ok_or(ExecError::UnknownSection { section })?;
                     let ord = next_ord;
                     next_ord += 1;
-                    if let Some(j) = &cfg.journal {
-                        j.record(JournalEvent {
-                            section: Some(ord as u64),
-                            ..JournalEvent::new("section_start", start.elapsed().as_nanos() as u64)
-                                .field("plan_section", section.to_string())
-                                .field("workers", plan.workers.len().to_string())
-                        });
-                    }
-                    let section_out = run_section(
-                        module,
-                        &bc,
-                        &ops,
-                        registry,
-                        plan,
-                        &shared_globals,
-                        &world,
-                        cfg,
-                        &injector,
-                        &mut proj,
-                        msink.as_ref(),
-                        start,
-                        ord,
-                    )?;
-                    if let Some(j) = &cfg.journal {
-                        j.record(JournalEvent {
-                            section: Some(ord as u64),
-                            ..JournalEvent::new("section_end", start.elapsed().as_nanos() as u64)
-                        });
-                    }
-                    merge_watchdog(&mut stats.watchdog, section_out.watchdog);
-                    stats.queue_drained += section_out.drained;
-                    stats.queue_full_spins += section_out.full_spins;
-                    stats.queue_empty_spins += section_out.empty_spins;
-                    stats.delta.absorb(section_out.delta);
-                    if cfg.telemetry {
-                        metas.extend(section_out.meta);
-                    }
+                    let plan = substrate::open_section(plans, &p.args, cfg, ord, run.elapsed())?;
+                    run_section(&run, plan, ord, &mut obs, &mut stats)?;
+                    substrate::close_section(cfg, ord, run.elapsed());
                     vm.resolve_special(Value::Int(0));
                 } else if op.is_runtime() {
                     // Synchronization intrinsics outside a section are a
@@ -269,51 +264,32 @@ pub fn run_threaded_with(
     };
     stats.fault = injector.stats();
     stats.shard = world.snapshot();
-    let telemetry = cfg.telemetry.then(|| {
+    let counters = RunCounters {
+        fault: stats.fault,
+        watchdog_checks: stats.watchdog.checks,
+        watchdog_clean: stats.watchdog.is_clean(),
+        max_blocked: stats.watchdog.max_blocked,
+        shard: stats.shard,
+        delta: stats.delta,
         // The thread executor's TM mode is pessimistic (one global lock):
         // every window commits, no optimistic aborts exist here.
-        let tm_commits = proj.metrics.counters().get("tm.commits").copied();
-        let counters = RunCounters {
-            fault: stats.fault,
-            watchdog_checks: stats.watchdog.checks,
-            watchdog_clean: stats.watchdog.is_clean(),
-            max_blocked: stats.watchdog.max_blocked,
-            shard: stats.shard,
-            delta: stats.delta,
-            tm_commits: tm_commits.unwrap_or(0),
-            tm_aborts: 0,
-            tm_fallbacks: 0,
-            queue_full_spins: stats.queue_full_spins,
-            queue_empty_spins: stats.queue_empty_spins,
-            queue_drained: stats.queue_drained,
-        };
-        proj.report(metas, counters)
-    });
-    let metrics = msink.map(|ms| {
-        let mut reg = ms.take();
-        reg.absorb(&proj.metrics);
-        if let Some(ml) = mlocal.as_ref() {
-            ml.publish(module, &bc, &mut reg);
-        }
-        reg.inc("shard.fast_acquires", stats.shard.fast_acquires);
-        reg.inc("shard.fast_waits", stats.shard.fast_waits);
-        reg.inc("shard.multi_acquires", stats.shard.multi_acquires);
-        reg.inc("shard.whole_acquires", stats.shard.whole_acquires);
-        reg.inc("queue.full_spins", stats.queue_full_spins);
-        reg.inc("queue.empty_spins", stats.queue_empty_spins);
-        reg.inc("queue.drained", stats.queue_drained);
-        reg.inc("delta.applies", stats.delta.applies);
-        reg.inc("delta.coalesces", stats.delta.coalesces);
-        reg.inc("delta.merged_slots", stats.delta.merged_slots);
-        reg.inc("delta.lock_elisions", stats.delta.lock_elisions);
-        if let Some(j) = &cfg.journal {
-            j.record_metrics(start.elapsed().as_nanos() as u64, &reg);
-        }
-        reg
-    });
+        tm_commits: obs
+            .proj
+            .metrics
+            .counters()
+            .get("tm.commits")
+            .copied()
+            .unwrap_or(0),
+        tm_aborts: 0,
+        tm_fallbacks: 0,
+        queue_full_spins: stats.queue_full_spins,
+        queue_empty_spins: stats.queue_empty_spins,
+        queue_drained: stats.queue_drained,
+    };
+    let (telemetry, metrics) = obs.finish(module, &bc, cfg, counters, run.elapsed(), None);
     Ok(ThreadOutcome {
         result,
-        wall: start.elapsed(),
+        wall: epoch.elapsed(),
         world: world.into_world(),
         stats,
         telemetry,
@@ -321,145 +297,68 @@ pub fn run_threaded_with(
     })
 }
 
+/// What a worker hands to the section barrier when it exits, failed or
+/// not: its events, its retires and its lane (with its delta buffer).
+struct Handoff {
+    log: EventLog,
+    retires: Option<MetricsLocal>,
+    lane: Lane,
+}
+
 /// Shared, immutable context for one section's worker threads.
 struct SectionCtx<'a> {
-    module: &'a Module,
-    /// The compiled program every worker runs.
-    bc: &'a BcModule,
-    /// The decoded intrinsics, indexed by `IntrinsicId`.
-    ops: &'a [SpecialOp],
-    registry: &'a Registry,
-    world: &'a WorldStore,
+    run: &'a Run<'a>,
+    sec: &'a Section<'a>,
     locks: &'a [RawLock],
+    /// TM fallback: one global pessimistic lock.
     tm_lock: &'a RawLock,
     queues: &'a [SpscQueue<u64>],
-    queue_index: &'a HashMap<i64, usize>,
     cancel: &'a AtomicBool,
-    injector: &'a FaultInjector,
-    /// True when this section privatizes merge-covered world calls into
-    /// per-worker delta buffers ([`WorldMode::Deltas`], merge declarations
-    /// present, and the plan has no cross-worker queues — pipeline stages
-    /// pass handles through queues, so they keep the sharded discipline).
-    delta: bool,
-    /// Per-lock elision decisions (indexed by lock rank): true when every
-    /// intrinsic the lock guards is delta-covered, so the region needs no
-    /// mutual exclusion at all — privatized effects are invisible to
-    /// siblings until the barrier. Empty unless `delta` is set.
-    elided: &'a [bool],
-    /// Finished per-worker buffers, pushed at worker exit and coalesced by
-    /// the section in worker-index order.
-    delta_out: &'a Mutex<Vec<(usize, DeltaBuffer)>>,
-    watchdog: Option<&'a Watchdog>,
+    /// Every worker's hand-off, pushed by its spawn wrapper.
+    handoffs: &'a Mutex<Vec<(usize, Handoff)>>,
     queue_batch: usize,
-    /// [`ExecConfig::telemetry`]: workers watch region calls.
-    telemetry: bool,
     /// Workers record events ([`ExecConfig::telemetry`] or
     /// [`ExecConfig::metrics`]).
     observe: bool,
-    /// Every worker's events, appended once at worker exit.
-    events: &'a Mutex<Vec<Event>>,
-    /// Metrics sink when [`ExecConfig::metrics`] is on. Workers record
-    /// opcode retires into private state and publish once at exit.
-    metrics: Option<&'a MetricsSink>,
-    /// The run's epoch: event timestamps are nanoseconds since this
-    /// instant.
-    epoch: Instant,
-    /// Ordinal of this section within the run (execution order) — the
-    /// span/report section key.
-    section_ord: usize,
 }
 
-/// What one parallel section reports back to the run.
-struct SectionOutcome {
-    watchdog: WatchdogReport,
-    /// Queue slots drained during teardown.
-    drained: u64,
-    /// Pushes that found a queue full.
-    full_spins: u64,
-    /// Pops that found a queue empty.
-    empty_spins: u64,
-    /// Plan-derived naming + per-queue spins for the report builder
-    /// (present iff events were recorded).
-    meta: Option<SectionMeta>,
-    /// Delta-privatized activity of this section.
-    delta: DeltaSnapshot,
-}
-
-/// Executes one parallel section and projects its events into `proj`;
-/// returns the watchdog report, teardown drain count and queue
-/// contention counters.
-#[allow(clippy::too_many_arguments)]
+/// Executes one parallel section, the `ord`-th of the run: projects its
+/// events into `obs`, folds its workers' retires into it, and adds its
+/// watchdog, queue and delta counters to `stats`.
 fn run_section(
-    module: &Module,
-    bc: &BcModule,
-    ops: &[SpecialOp],
-    registry: &Registry,
+    run: &Run<'_>,
     plan: &ParallelPlan,
-    shared_globals: &Arc<AtomicGlobals>,
-    world: &WorldStore,
-    cfg: &ExecConfig,
-    injector: &FaultInjector,
-    proj: &mut Projection,
-    msink: Option<&MetricsSink>,
-    epoch: Instant,
-    section_ord: usize,
-) -> Result<SectionOutcome, ExecError> {
-    let sec_start = epoch.elapsed().as_nanos() as u64;
+    ord: usize,
+    obs: &mut Observed,
+    stats: &mut ThreadStats,
+) -> Result<(), ExecError> {
+    let cfg = run.cfg;
+    let sec_start = run.elapsed();
+    let sec = Section::new(plan, run.registry, run.injector, cfg);
     let lock_kind = match plan.sync {
         SyncMode::Spin => LockKind::Spin,
         _ => LockKind::Mutex,
     };
     let locks: Vec<RawLock> = plan.locks.iter().map(|_| RawLock::new(lock_kind)).collect();
-    // TM fallback: one global pessimistic lock.
     let tm_lock = RawLock::new(LockKind::Mutex);
-    let mut queue_index: HashMap<i64, usize> = HashMap::new();
-    let mut queues: Vec<SpscQueue<u64>> = Vec::new();
-    for q in &plan.queues {
-        queue_index.insert(q.id, queues.len());
-        queues.push(SpscQueue::new(injector.clamp_capacity(q.capacity)));
-    }
-    let cancel = AtomicBool::new(false);
-    let watchdog = cfg.watchdog.then(Watchdog::new);
-    let delta_on =
-        matches!(cfg.world, WorldMode::Deltas) && registry.has_merges() && plan.queues.is_empty();
-    let delta_out: Mutex<Vec<(usize, DeltaBuffer)>> = Mutex::new(Vec::new());
-    // Static lock elision (DESIGN.md §14): a CommSet region lock whose
-    // guarded intrinsics are all delta-covered serializes nothing under
-    // delta privatization. Synthetic locks (`__reduction`) have no
-    // members and are never elided.
-    let elided: Vec<bool> = plan
-        .locks
+    let queues: Vec<SpscQueue<u64>> = plan
+        .queues
         .iter()
-        .map(|ls| {
-            delta_on
-                && !ls.members.is_empty()
-                && ls.members.iter().all(|m| registry.delta_covered(m))
-        })
+        .map(|q| SpscQueue::new(run.injector.clamp_capacity(q.capacity)))
         .collect();
-    let events: Mutex<Vec<Event>> = Mutex::new(Vec::new());
+    let cancel = AtomicBool::new(false);
+    let handoffs: Mutex<Vec<(usize, Handoff)>> = Mutex::new(Vec::new());
+    let observe = cfg.telemetry || cfg.metrics;
     let ctx = SectionCtx {
-        module,
-        bc,
-        ops,
-        registry,
-        world,
+        run,
+        sec: &sec,
         locks: &locks,
         tm_lock: &tm_lock,
         queues: &queues,
-        queue_index: &queue_index,
         cancel: &cancel,
-        injector,
-        delta: delta_on,
-        elided: &elided,
-        delta_out: &delta_out,
-        watchdog: watchdog.as_ref(),
+        handoffs: &handoffs,
         queue_batch: cfg.queue_batch.max(1),
-        telemetry: cfg.telemetry,
-        observe: cfg.telemetry || cfg.metrics,
-        events: &events,
-        metrics: msink,
-        epoch,
-        section_ord,
+        observe,
     };
 
     // Deadline enforcement: a monitor thread (spawned inside the scope,
@@ -473,7 +372,7 @@ fn run_section(
         if let Some(ms) = cfg.deadline_ms {
             let fired = &deadline_fired;
             let done = &workers_done;
-            let wd = watchdog.as_ref();
+            let wd = sec.watchdog.as_ref();
             let cancel = &cancel;
             scope.spawn(move || {
                 let deadline = Duration::from_millis(ms);
@@ -501,27 +400,29 @@ fn run_section(
             .iter()
             .enumerate()
             .map(|(widx, w)| {
-                let globals = SharedGlobals::new(Arc::clone(shared_globals));
-                let func = w.func.clone();
-                let (tid, nt) = (w.tid, w.nt);
+                let globals = SharedGlobals::new(Arc::clone(run.globals));
                 scope.spawn(move || {
-                    let spawned = ctx.epoch.elapsed().as_nanos() as u64;
-                    let mut log = EventLog::new(ctx.observe);
+                    let spawned = ctx.run.elapsed();
+                    let mut out = Handoff {
+                        log: EventLog::new(ctx.observe),
+                        retires: cfg.metrics.then(MetricsLocal::new),
+                        lane: ctx.sec.lane(widx, w.tid),
+                    };
                     let body = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        worker_loop(ctx, widx, &func, tid, nt, globals, &mut log)
+                        worker_loop(ctx, w, globals, &mut out)
                     }));
-                    if log.on {
+                    if out.log.on {
                         // The exit is recorded here (not inside the loop)
                         // so events of panicked/failed workers still
                         // reach the section.
                         let exit = EventKind::WorkerExit { spawned };
-                        log.record(widx, ctx.epoch.elapsed().as_nanos() as u64, exit);
-                        ctx.events.lock().extend(log.take());
+                        out.log.record(widx, ctx.run.elapsed(), exit);
                     }
+                    ctx.handoffs.lock().push((widx, out));
                     let outcome = match body {
                         Ok(r) => r,
                         Err(payload) => Err(ExecError::WorkerFailed {
-                            stage: func.clone(),
+                            stage: w.func.clone(),
                             cause: panic_message(&*payload),
                         }),
                     };
@@ -531,14 +432,11 @@ fn run_section(
                     }
                     if let Some(j) = journal {
                         j.record(JournalEvent {
-                            section: Some(ctx.section_ord as u64),
+                            section: Some(ord as u64),
                             worker: Some(widx as u64),
-                            ..JournalEvent::new(
-                                "worker_done",
-                                ctx.epoch.elapsed().as_nanos() as u64,
-                            )
-                            .field("stage", func.clone())
-                            .field("ok", outcome.is_ok().to_string())
+                            ..JournalEvent::new("worker_done", ctx.run.elapsed())
+                                .field("stage", w.func.clone())
+                                .field("ok", outcome.is_ok().to_string())
                         });
                     }
                     outcome
@@ -566,34 +464,31 @@ fn run_section(
     // All workers are joined: snapshot the contention counters (before
     // the teardown drain perturbs them), then drain abandoned pipeline
     // values so a failed run does not leak queue slots.
-    let (mut full_spins, mut empty_spins) = (0u64, 0u64);
-    let mut queue_spins: Vec<(u64, u64)> = Vec::with_capacity(queues.len());
-    for q in &queues {
-        let (f, e) = q.contention();
-        full_spins += f;
-        empty_spins += e;
-        queue_spins.push((f, e));
+    let queue_spins: Vec<(u64, u64)> = queues.iter().map(|q| q.contention()).collect();
+    for &(f, e) in &queue_spins {
+        stats.queue_full_spins += f;
+        stats.queue_empty_spins += e;
     }
-    let drained: u64 = queues.iter().map(|q| q.drain() as u64).sum();
+    stats.queue_drained += queues.iter().map(|q| q.drain() as u64).sum::<u64>();
+    stats
+        .watchdog
+        .absorb(sec.watchdog.map(|wd| wd.report()).unwrap_or_default());
 
     // Report the most informative failure: a real WorkerFailed beats the
     // Canceled noise of its siblings.
+    let canceled = |e: &ExecError| matches!(e, ExecError::Canceled { .. });
     let mut first: Option<ExecError> = None;
     for (w, r) in plan.workers.iter().zip(results) {
-        let Err(e) = r else { continue };
-        let wrapped = match e {
-            ExecError::WorkerFailed { .. } | ExecError::Canceled { .. } => e,
-            other => ExecError::WorkerFailed {
+        let e = match r {
+            Ok(()) => continue,
+            Err(e @ (ExecError::WorkerFailed { .. } | ExecError::Canceled { .. })) => e,
+            Err(other) => ExecError::WorkerFailed {
                 stage: w.func.clone(),
                 cause: other.to_string(),
             },
         };
-        match (&first, &wrapped) {
-            (None, _) => first = Some(wrapped),
-            (Some(ExecError::Canceled { .. }), ExecError::WorkerFailed { .. }) => {
-                first = Some(wrapped)
-            }
-            _ => {}
+        if first.as_ref().is_none_or(|f| canceled(f) && !canceled(&e)) {
+            first = Some(e);
         }
     }
     if let Some(e) = first {
@@ -601,410 +496,307 @@ fn run_section(
         // Canceled noise *is* the deadline overrun; a genuine
         // WorkerFailed that raced the deadline still wins (it carries the
         // root cause).
-        if deadline_fired.load(Ordering::SeqCst) {
-            if let ExecError::Canceled { .. } = e {
-                return Err(ExecError::DeadlineExceeded {
+        return Err(match e {
+            ExecError::Canceled { .. } if deadline_fired.load(Ordering::SeqCst) => {
+                ExecError::DeadlineExceeded {
                     section: plan.section,
                     deadline_ms: cfg.deadline_ms.unwrap_or(0),
-                });
+                }
             }
-        }
-        return Err(e);
+            e => e,
+        });
     }
 
+    let mut handoffs = handoffs.into_inner();
+    handoffs.sort_by_key(|(w, _)| *w);
+    let mut events = Vec::new();
+    let mut deltas = Vec::new();
+    for (_, mut h) in handoffs {
+        events.extend(h.log.take());
+        if let (Some(into), Some(r)) = (obs.retires.as_mut(), h.retires) {
+            into.absorb(r);
+        }
+        deltas.extend(h.lane.delta);
+    }
     // Delta coalesce: fold the finished per-worker buffers into the
     // shared shards, in worker-index order (then slot-name order inside
     // each buffer) — the deterministic fold DESIGN.md §14 specifies. A
     // poisoned or panicking merge is contained exactly like a worker
     // panic so the supervisor can descend the ladder to plain Sharded.
-    let mut delta = DeltaSnapshot::default();
-    if delta_on {
-        let mut bufs = delta_out.into_inner();
-        bufs.sort_by_key(|(w, _)| *w);
-        let mut merge_sizes: Vec<u64> = Vec::new();
-        if let WorldStore::Sharded(sw) = world {
+    let delta = match run.world {
+        WorldStore::Sharded(sw) => {
+            let metrics = cfg.metrics.then_some(&mut obs.proj.metrics);
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                for (_, buf) in bufs {
-                    delta.lock_elisions += buf.lock_elisions;
-                    if buf.is_empty() {
-                        continue;
-                    }
-                    if injector.delta_poison_now() {
-                        panic!("{DELTA_POISON_MSG}");
-                    }
-                    delta.coalesces += 1;
-                    delta.applies += buf.applies;
-                    let slots = sw.coalesce_delta(registry, buf);
-                    delta.merged_slots += slots;
-                    merge_sizes.push(slots);
-                }
+                substrate::coalesce(deltas, run.injector, metrics, |buf| {
+                    sw.coalesce_delta(run.registry, buf)
+                })
             }))
             .map_err(|payload| ExecError::WorkerFailed {
                 stage: "__delta_coalesce".into(),
                 cause: panic_message(&*payload),
-            })?;
+            })??
         }
-        if msink.is_some() {
-            for slots in merge_sizes {
-                proj.metrics.observe("delta.merge_slots", slots);
-            }
-        }
-    }
-    let meta = (cfg.telemetry || cfg.metrics).then(|| {
-        let meta = SectionMeta {
-            section: section_ord,
-            stage_desc: plan.stage_desc.clone(),
-            worker_stage: plan.workers.iter().map(|w| w.stage).collect(),
-            locks: plan.locks.iter().map(|l| l.set.clone()).collect(),
-            queues: plan.queues.iter().map(|q| (q.id, q.what.clone())).collect(),
-            queue_spins,
-            span: (sec_start, epoch.elapsed().as_nanos() as u64),
-        };
+        // Delta privatization rides on the sharded world.
+        WorldStore::Single(_) => DeltaSnapshot::default(),
+    };
+    stats.delta.absorb(delta);
+    if observe {
         // One section log in timestamp order; the sort is stable, so each
         // worker's events keep their recording order.
-        let mut events = events.into_inner();
         events.sort_by_key(|e| e.time);
-        proj.section(&meta, &[], events);
-        meta
-    });
-    Ok(SectionOutcome {
-        watchdog: watchdog.map(|wd| wd.report()).unwrap_or_default(),
-        drained,
-        full_spins,
-        empty_spins,
-        meta,
-        delta,
-    })
+        obs.section(
+            plan,
+            ord,
+            queue_spins,
+            (sec_start, run.elapsed()),
+            &[],
+            events,
+        );
+    }
+    Ok(())
 }
 
-/// Round-robin flush of every staged queue push. Never parks on one full
-/// queue while another staged queue could make progress (a consumer
-/// blocked on queue B must not be starved by our full queue A), so the
-/// staging layer cannot introduce cross-queue deadlocks. Returns `false`
-/// when the section was canceled mid-flush.
-fn flush_staged(ctx: &SectionCtx<'_>, staged: &mut [Vec<u64>]) -> bool {
-    loop {
-        let mut remaining = false;
-        for (q, buf) in staged.iter_mut().enumerate() {
-            if buf.is_empty() {
-                continue;
+/// The real-thread substrate of one worker: raw locks, batched SPSC
+/// queues and the shared world, all waiting in place.
+///
+/// DSWP queue batching: producer-side staging buffers (published with one
+/// `push_n` per batch) and consumer-side refill buffers (refilled with
+/// one `pop_n` per batch). Invariant: *all* staged pushes are flushed
+/// before this worker enters any blocking wait — a lock acquisition, a
+/// TM begin, a blocking pop, or its own exit — so no sibling can wait
+/// forever on a value parked in our staging buffer.
+struct Threads<'a> {
+    ctx: &'a SectionCtx<'a>,
+    /// The worker's stage function, named by a cancellation.
+    stage: &'a str,
+    staged: Vec<Vec<u64>>,
+    refill: Vec<VecDeque<u64>>,
+    scratch: Vec<u64>,
+}
+
+impl Threads<'_> {
+    fn canceled(&self) -> ExecError {
+        ExecError::Canceled {
+            stage: self.stage.into(),
+        }
+    }
+
+    /// Round-robin flush of every staged queue push. Never parks on one
+    /// full queue while another staged queue could make progress (a
+    /// consumer blocked on queue B must not be starved by our full queue
+    /// A), so the staging layer cannot introduce cross-queue deadlocks.
+    fn flush(&mut self) -> Result<(), ExecError> {
+        loop {
+            let mut remaining = false;
+            for (q, buf) in self.staged.iter_mut().enumerate() {
+                if buf.is_empty() {
+                    continue;
+                }
+                let sent = self.ctx.queues[q].push_n(buf);
+                if sent > 0 {
+                    buf.drain(..sent);
+                }
+                remaining |= !buf.is_empty();
             }
-            let sent = ctx.queues[q].push_n(buf);
-            if sent > 0 {
-                buf.drain(..sent);
+            if !remaining {
+                return Ok(());
             }
-            remaining |= !buf.is_empty();
+            if self.ctx.cancel.load(Ordering::Relaxed) {
+                return Err(self.canceled());
+            }
+            std::thread::yield_now();
         }
-        if !remaining {
-            return true;
+    }
+
+    /// Publishes the staged values (a blocking wait is ahead), then takes
+    /// `lock`.
+    fn acquire(&mut self, lock: &RawLock) -> Result<(), ExecError> {
+        self.flush()?;
+        if lock.acquire_canceling(self.ctx.cancel) {
+            Ok(())
+        } else {
+            Err(self.canceled())
         }
-        if ctx.cancel.load(Ordering::Relaxed) {
-            return false;
+    }
+
+    /// A completed queue operation on `q`, observed now.
+    fn moved(&self, w: usize, q: usize, bits: u64) -> Moved {
+        let occupancy = if self.ctx.observe {
+            self.ctx.queues[q].len() as u64
+        } else {
+            0
+        };
+        Moved {
+            attempt: self.now(w),
+            occupancy,
+            bits,
         }
-        std::thread::yield_now();
+    }
+}
+
+impl Substrate for Threads<'_> {
+    /// Nanoseconds since the run's epoch; 0 when nothing is observed.
+    fn now(&self, _w: usize) -> u64 {
+        if self.ctx.observe {
+            self.ctx.run.elapsed()
+        } else {
+            0
+        }
+    }
+
+    fn delay(&mut self, _w: usize, t: u64) {
+        if t > 0 {
+            std::thread::sleep(Duration::from_micros(t));
+        }
+    }
+
+    fn lock(&mut self, w: usize, rank: usize) -> Result<Prim<u64>, ExecError> {
+        let (ctx, blocked) = (self.ctx, self.now(w));
+        self.acquire(&ctx.locks[rank])?;
+        // Every acquisition waits from its Block to the grant; an injected
+        // grant delay after it is neither wait nor hold, as on the DES.
+        Ok(Prim {
+            blocked: Some(blocked),
+            done: Some(self.now(w)),
+        })
+    }
+
+    fn unlock(&mut self, w: usize, rank: usize) -> u64 {
+        let t = self.now(w);
+        self.ctx.locks[rank].release();
+        t
+    }
+
+    fn push(&mut self, w: usize, q: usize, bits: u64) -> Result<Prim<Moved>, ExecError> {
+        self.staged[q].push(bits);
+        let mut blocked = None;
+        if self.staged[q].len() >= self.ctx.queue_batch {
+            blocked = Some(self.now(w));
+            self.flush()?;
+        }
+        Ok(Prim {
+            blocked,
+            done: Some(self.moved(w, q, bits)),
+        })
+    }
+
+    fn pop(&mut self, w: usize, q: usize) -> Result<Prim<Moved>, ExecError> {
+        let mut blocked = None;
+        let bits = match self.refill[q].pop_front() {
+            Some(b) => b,
+            None => {
+                // Blocking wait ahead: publish staged values first, then
+                // take one value (blocking) and opportunistically batch up
+                // whatever else is already there.
+                blocked = Some(self.now(w));
+                self.flush()?;
+                let queue = &self.ctx.queues[q];
+                let Some(first) = queue.pop_canceling(self.ctx.cancel) else {
+                    return Err(self.canceled());
+                };
+                if self.ctx.queue_batch > 1 {
+                    self.scratch.clear();
+                    queue.pop_n(&mut self.scratch, self.ctx.queue_batch - 1);
+                    self.refill[q].extend(self.scratch.drain(..));
+                }
+                first
+            }
+        };
+        Ok(Prim {
+            blocked,
+            done: Some(self.moved(w, q, bits)),
+        })
+    }
+
+    fn tx_begin(&mut self, w: usize) -> Result<u64, ExecError> {
+        let ctx = self.ctx;
+        self.acquire(ctx.tm_lock)?;
+        Ok(self.now(w))
+    }
+
+    fn tx_commit(&mut self, _w: usize) -> u64 {
+        // Pessimistic TM: the window commits, no aborts.
+        self.ctx.tm_lock.release();
+        0
+    }
+
+    fn world(&mut self, w: usize, call: Call<'_>) -> Option<(Value, ChannelWaits)> {
+        // World calls never wait on queues (handlers only touch world
+        // slots), so staged pushes can stay parked across them:
+        // shard/world locks are leaf locks and cannot be held by a
+        // sibling that is blocked on one of our queues.
+        let ctx = self.ctx;
+        let obs = ShardObserver {
+            watchdog: ctx.sec.watchdog.as_ref(),
+            worker: w,
+            rank_base: ctx.locks.len(),
+            injector: Some(ctx.run.injector),
+        };
+        let out = ctx
+            .run
+            .world
+            .call(ctx.run.registry, call.name, call.args, &obs);
+        Some((out.value, Vec::new()))
     }
 }
 
 /// One worker's execution; every failure mode returns an error.
 ///
-/// Events accumulate into the caller-owned `log` (handed to the section
-/// by the spawn wrapper, even when this loop errors or panics).
-#[allow(clippy::too_many_arguments)]
+/// Events, retires and the delta buffer accumulate into the
+/// caller-owned `out` (handed to the section by the spawn wrapper, even
+/// when this loop errors or panics).
 fn worker_loop(
     ctx: &SectionCtx<'_>,
-    widx: usize,
-    func: &str,
-    tid: i64,
-    nt: i64,
+    w: &WorkerSpec,
     mut globals: SharedGlobals,
-    log: &mut EventLog,
+    out: &mut Handoff,
 ) -> Result<(), ExecError> {
-    let canceled = || ExecError::Canceled { stage: func.into() };
-    let mut vm = BcVm::for_name(ctx.module, ctx.bc, func, &[Value::Int(tid), Value::Int(nt)])?;
-    // Opcode retires accumulate into worker-private state and publish
-    // once at normal exit; failed/canceled workers drop them (exactly
-    // like their partial delta buffers).
-    let mut mloc = ctx.metrics.is_some().then(MetricsLocal::new);
-    if ctx.telemetry {
-        vm.watch_calls_matching("__commset_region_");
-    }
-    // Event timestamps: nanoseconds since the run's epoch, evaluated only
-    // at event sites whose log is on.
-    let now = || ctx.epoch.elapsed().as_nanos() as u64;
-    let mut in_tx = false;
-    // DSWP queue batching: producer-side staging buffers (published with
-    // one `push_n` per batch) and consumer-side refill buffers (refilled
-    // with one `pop_n` per batch). Invariant: *all* staged pushes are
-    // flushed before this worker enters any blocking wait — a lock
-    // acquisition, a TM begin, a blocking pop, or its own exit — so no
-    // sibling can wait forever on a value parked in our staging buffer.
-    let batch = ctx.queue_batch;
-    // Delta privatization: merge-covered world calls land here instead of
-    // taking any shard lock; the buffer is handed to the section barrier
-    // at exit for the deterministic coalesce.
-    let mut delta_buf = ctx.delta.then(DeltaBuffer::new);
-    let mut staged: Vec<Vec<u64>> = (0..ctx.queues.len()).map(|_| Vec::new()).collect();
-    let mut refill: Vec<VecDeque<u64>> = (0..ctx.queues.len()).map(|_| VecDeque::new()).collect();
-    let mut scratch: Vec<u64> = Vec::new();
+    let (run, widx) = (ctx.run, out.lane.worker);
+    let mut vm = substrate::worker_vm(run.module, run.bc, w, run.cfg.telemetry)?;
+    let mut sub = Threads {
+        ctx,
+        stage: &w.func,
+        staged: ctx.queues.iter().map(|_| Vec::new()).collect(),
+        refill: ctx.queues.iter().map(|_| VecDeque::new()).collect(),
+        scratch: Vec::new(),
+    };
     loop {
         if ctx.cancel.load(Ordering::Relaxed) {
-            return Err(canceled());
+            return Err(sub.canceled());
         }
         // Sampled before the step so a retired op attributes to the site
         // that produced it.
-        let site = mloc.as_ref().and_then(|_| vm.site());
+        let site = out.retires.as_ref().and_then(|_| vm.site());
         let step = vm.step(&mut globals)?;
-        if log.on {
+        if out.log.on {
             for ev in vm.drain_call_events() {
-                log.record(widx, now(), ev.into());
+                out.log.record(widx, run.elapsed(), ev.into());
             }
         }
         match step {
             StepOutcome::Ran { cost } => {
-                if let (Some(ml), Some(site)) = (mloc.as_mut(), site) {
-                    ml.retire(ctx.bc, site, cost);
+                if let (Some(r), Some(site)) = (out.retires.as_mut(), site) {
+                    r.retire(run.bc, site, cost);
                 }
             }
-            StepOutcome::Finished(_) => {
-                // Publish any staged queue values before exiting.
-                if !flush_staged(ctx, &mut staged) {
-                    return Err(canceled());
-                }
-                // Hand the private delta buffer to the section barrier.
-                // Failed/canceled workers never get here, so their partial
-                // deltas are dropped with the failed section.
-                if let Some(buf) = delta_buf.take() {
-                    if !buf.is_empty() || buf.lock_elisions > 0 {
-                        ctx.delta_out.lock().push((widx, buf));
-                    }
-                }
-                // Publish this worker's retires in one batch.
-                if let (Some(ms), Some(ml)) = (ctx.metrics, mloc.as_ref()) {
-                    let mut reg = MetricsRegistry::new();
-                    ml.publish(ctx.module, ctx.bc, &mut reg);
-                    ms.publish(&reg);
-                }
-                return Ok(());
-            }
+            // Publish any staged queue values before exiting.
+            StepOutcome::Finished(_) => return sub.flush(),
             StepOutcome::Special(p) => {
-                let name = ctx.module.intrinsics.name(p.intrinsic.0 as usize);
-                // Periodic stalls plus the persistent slow-worker drag.
-                let stall = ctx.injector.worker_stall(tid) + ctx.injector.slow_worker(tid);
-                if stall > 0 {
-                    std::thread::sleep(Duration::from_micros(stall));
-                }
-                match ctx.ops[p.intrinsic.0 as usize] {
-                    SpecialOp::LockAcquire => {
-                        let l = p.args[0].as_int() as usize;
-                        if ctx.elided.get(l).copied().unwrap_or(false) {
-                            // Delta privatization covers everything this
-                            // lock guards: proceed without touching it.
-                            if let Some(buf) = delta_buf.as_mut() {
-                                buf.lock_elisions += 1;
-                            }
-                            vm.resolve_special(Value::Int(0));
-                            continue;
-                        }
-                        // Blocking wait ahead: publish staged values first.
-                        if !flush_staged(ctx, &mut staged) {
-                            return Err(canceled());
-                        }
-                        if let Some(wd) = ctx.watchdog {
-                            wd.acquiring(widx, l);
-                        }
-                        if log.on {
-                            log.record(widx, now(), EventKind::Block);
-                        }
-                        if !ctx.locks[l].acquire_canceling(ctx.cancel) {
-                            if let Some(wd) = ctx.watchdog {
-                                wd.wait_abandoned(widx);
-                            }
-                            return Err(canceled());
-                        }
-                        if log.on {
-                            // Every acquisition waits from its Block; an
-                            // injected grant delay below counts as hold.
-                            let t = now();
-                            let acquire = EventKind::LockAcquire {
-                                rank: l,
-                                attempt: t,
-                                granted: t,
-                            };
-                            log.record(widx, t, acquire);
-                        }
-                        if let Some(wd) = ctx.watchdog {
-                            wd.acquired(widx, l);
-                        }
-                        let delay = ctx.injector.lock_grant_delay();
-                        if delay > 0 {
-                            std::thread::sleep(Duration::from_micros(delay));
-                        }
-                        vm.resolve_special(Value::Int(0));
-                    }
-                    SpecialOp::LockRelease => {
-                        let l = p.args[0].as_int() as usize;
-                        if ctx.elided.get(l).copied().unwrap_or(false) {
-                            vm.resolve_special(Value::Int(0));
-                            continue;
-                        }
-                        if log.on {
-                            let t = now();
-                            log.record(widx, t, EventKind::LockRelease { rank: l, held: t });
-                        }
-                        ctx.locks[l].release();
-                        if let Some(wd) = ctx.watchdog {
-                            wd.released(widx, l);
-                        }
-                        vm.resolve_special(Value::Int(0));
-                    }
-                    SpecialOp::QueuePush => {
-                        let id = p.args[0].as_int();
-                        let q = *ctx
-                            .queue_index
-                            .get(&id)
-                            .ok_or(ExecError::UnknownQueue { id })?;
-                        let qs = ctx.injector.queue_stall_delay();
-                        if qs > 0 {
-                            std::thread::sleep(Duration::from_micros(qs));
-                        }
-                        staged[q].push(p.args[1].to_bits());
-                        if staged[q].len() >= batch {
-                            if log.on {
-                                log.record(widx, now(), EventKind::Block);
-                            }
-                            if !flush_staged(ctx, &mut staged) {
-                                return Err(canceled());
-                            }
-                        }
-                        if log.on {
-                            let t = now();
-                            let push = EventKind::QueuePush {
-                                queue: id,
-                                attempt: t,
-                                occupancy: ctx.queues[q].len() as u64,
-                            };
-                            log.record(widx, t, push);
-                        }
-                        vm.resolve_special(Value::Int(0));
-                    }
-                    SpecialOp::QueuePop { float } => {
-                        let id = p.args[0].as_int();
-                        let q = *ctx
-                            .queue_index
-                            .get(&id)
-                            .ok_or(ExecError::UnknownQueue { id })?;
-                        let qs = ctx.injector.queue_stall_delay();
-                        if qs > 0 {
-                            std::thread::sleep(Duration::from_micros(qs));
-                        }
-                        let bits = match refill[q].pop_front() {
-                            Some(b) => b,
-                            None => {
-                                // Blocking wait ahead: publish staged
-                                // values first, then take one value
-                                // (blocking) and opportunistically batch
-                                // up whatever else is already there.
-                                if log.on {
-                                    log.record(widx, now(), EventKind::Block);
-                                }
-                                if !flush_staged(ctx, &mut staged) {
-                                    return Err(canceled());
-                                }
-                                let Some(first) = ctx.queues[q].pop_canceling(ctx.cancel) else {
-                                    return Err(canceled());
-                                };
-                                if batch > 1 {
-                                    scratch.clear();
-                                    ctx.queues[q].pop_n(&mut scratch, batch - 1);
-                                    refill[q].extend(scratch.drain(..));
-                                }
-                                first
-                            }
-                        };
-                        if log.on {
-                            let t = now();
-                            let pop = EventKind::QueuePop {
-                                queue: id,
-                                attempt: t,
-                                occupancy: ctx.queues[q].len() as u64,
-                            };
-                            log.record(widx, t, pop);
-                        }
-                        vm.resolve_special(Value::from_bits(bits, float));
-                    }
-                    SpecialOp::TxBegin => {
-                        // Blocking wait ahead: publish staged values first.
-                        if !flush_staged(ctx, &mut staged) {
-                            return Err(canceled());
-                        }
-                        if !ctx.tm_lock.acquire_canceling(ctx.cancel) {
-                            return Err(canceled());
-                        }
-                        if log.on {
-                            log.record(widx, now(), EventKind::TxBegin);
-                        }
-                        in_tx = true;
-                        vm.resolve_special(Value::Int(0));
-                    }
-                    SpecialOp::TxCommit => {
-                        if !in_tx {
-                            return Err(ExecError::TxCommitWithoutBegin);
-                        }
-                        if log.on {
-                            // Pessimistic TM: the window commits, no aborts.
-                            log.record(widx, now(), EventKind::TxCommit { aborts: 0 });
-                        }
-                        ctx.tm_lock.release();
-                        in_tx = false;
-                        vm.resolve_special(Value::Int(0));
-                    }
-                    SpecialOp::ParInvoke => return Err(ExecError::NestedParallelSection),
-                    SpecialOp::World => {
-                        // Delta fast path: a call whose entire slot
-                        // footprint is merge-declared runs against the
-                        // worker-private buffer — no shard lock, no STM.
-                        if let Some(buf) = delta_buf.as_mut() {
-                            if let Some(slots) = ctx.registry.delta_route(name, &p.args) {
-                                let start = log.on.then(now);
-                                let out = buf.apply(ctx.registry, name, &p.args, &slots);
-                                if let Some(start) = start {
-                                    log.record(widx, now(), world_call(name, &p.args, start));
-                                }
-                                vm.resolve_special(out.value);
-                                continue;
-                            }
-                        }
-                        // World calls never wait on queues (handlers only
-                        // touch world slots), so staged pushes can stay
-                        // parked across them: shard/world locks are leaf
-                        // locks and cannot be held by a sibling that is
-                        // blocked on one of our queues.
-                        let obs = ShardObserver {
-                            watchdog: ctx.watchdog,
-                            worker: widx,
-                            rank_base: ctx.locks.len(),
-                            injector: Some(ctx.injector),
-                        };
-                        let start = log.on.then(now);
-                        let out = ctx.world.call(ctx.registry, name, &p.args, &obs);
-                        if let Some(start) = start {
-                            log.record(widx, now(), world_call(name, &p.args, start));
-                        }
-                        vm.resolve_special(out.value);
-                    }
+                let id = p.intrinsic.0 as usize;
+                let call = Call {
+                    id,
+                    name: run.module.intrinsics.name(id),
+                    args: &p.args,
+                };
+                let (lane, log) = (&mut out.lane, &mut out.log);
+                match substrate::special(ctx.sec, &mut sub, lane, log, run.ops[id], call)? {
+                    Step::Value(v) => vm.resolve_special(v),
+                    // Real threads wait inside the primitives; a wait
+                    // reported anyway is retried.
+                    Step::Wait(_) => vm.retry_special_later(),
                 }
             }
         }
-    }
-}
-
-/// A world-intrinsic event: real threads model no channel waits.
-fn world_call(name: &str, args: &[Value], start: u64) -> EventKind {
-    EventKind::WorldCall {
-        intrinsic: name.to_string(),
-        args: args.to_vec(),
-        start,
-        channel_waits: Vec::new(),
     }
 }
 

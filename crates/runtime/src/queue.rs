@@ -87,29 +87,6 @@ impl<T: Copy> SpscQueue<T> {
         self.cap - 1
     }
 
-    /// Attempts to push; returns `Err(v)` when full.
-    pub fn try_push(&self, v: T) -> Result<(), T> {
-        let h = self.head.load(Ordering::Relaxed);
-        let next = (h + 1) % self.cap;
-        // Fast path: the cached tail says there is room — no acquire load,
-        // no touching the consumer's cache line.
-        if next == self.tail_cache.get() {
-            // Looks full: refresh the cache from the shared index.
-            self.tail_cache.set(self.tail.load(Ordering::Acquire));
-            if next == self.tail_cache.get() {
-                self.full_spins.fetch_add(1, Ordering::Relaxed);
-                return Err(v); // genuinely full
-            }
-        }
-        // SAFETY: single producer; slot `h` is not visible to the consumer
-        // until the head is advanced below.
-        unsafe {
-            (*self.buf[h].get()).write(v);
-        }
-        self.head.store(next, Ordering::Release);
-        Ok(())
-    }
-
     /// Attempts to pop; returns `None` when empty.
     pub fn try_pop(&self) -> Option<T> {
         let t = self.tail.load(Ordering::Relaxed);
@@ -248,10 +225,10 @@ mod tests {
         let q = SpscQueue::new(4);
         assert!(q.is_empty());
         for i in 0..4 {
-            q.try_push(i).unwrap();
+            assert_eq!(q.push_n(&[i]), 1);
         }
         assert_eq!(q.len(), 4);
-        assert!(q.try_push(99).is_err(), "full");
+        assert_eq!(q.push_n(&[99]), 0, "full");
         for i in 0..4 {
             assert_eq!(q.try_pop(), Some(i));
         }
@@ -262,15 +239,15 @@ mod tests {
     fn wraps_around() {
         let q = SpscQueue::new(2);
         for round in 0..10 {
-            q.try_push(round * 2).unwrap();
-            q.try_push(round * 2 + 1).unwrap();
+            assert_eq!(q.push_n(&[round * 2]), 1);
+            assert_eq!(q.push_n(&[round * 2 + 1]), 1);
             assert_eq!(q.try_pop(), Some(round * 2));
             assert_eq!(q.try_pop(), Some(round * 2 + 1));
         }
     }
 
     /// Publishes `vs` with `push_n`, yielding while the queue is full —
-    /// the thread executor's producer side (`flush_staged`).
+    /// the thread executor's producer side (its staged-push flush).
     fn push_all(q: &SpscQueue<u64>, vs: &[u64]) {
         let mut sent = 0;
         while sent < vs.len() {
@@ -322,11 +299,11 @@ mod tests {
         assert!(q.is_empty());
         assert_eq!(q.contention(), (0, 0));
         for i in 0..3 {
-            q.try_push(i).unwrap();
+            assert_eq!(q.push_n(&[i]), 1);
         }
         assert_eq!(q.len(), 3, "len == capacity when full");
         assert_eq!(q.capacity(), 3);
-        assert!(q.try_push(9).is_err());
+        assert_eq!(q.push_n(&[9]), 0);
         assert_eq!(q.len(), 3, "failed push leaves len unchanged");
         assert_eq!(q.contention().0, 1, "failed push counted");
         q.drain();
@@ -459,12 +436,12 @@ mod tests {
         cancel.store(true, Ordering::Relaxed);
         assert_eq!(consumer.join().unwrap(), None, "canceled pop gives up");
         // Queued data still wins over a raised cancel flag.
-        q.try_push(7).unwrap();
+        assert_eq!(q.push_n(&[7]), 1);
         assert_eq!(q.pop_canceling(&cancel), Some(7));
         assert_eq!(q.pop_canceling(&cancel), None);
         // Uncanceled fast path.
         cancel.store(false, Ordering::Relaxed);
-        q.try_push(9).unwrap();
+        assert_eq!(q.push_n(&[9]), 1);
         assert_eq!(q.pop_canceling(&cancel), Some(9));
     }
 }

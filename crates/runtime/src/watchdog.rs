@@ -35,6 +35,23 @@ impl WatchdogReport {
     pub fn is_clean(&self) -> bool {
         self.cycles.is_empty() && self.rank_violations.is_empty()
     }
+
+    /// Folds another section's findings into this run-wide report, each
+    /// cycle and violation once.
+    pub fn absorb(&mut self, other: WatchdogReport) {
+        self.checks += other.checks;
+        for c in other.cycles {
+            if !self.cycles.contains(&c) {
+                self.cycles.push(c);
+            }
+        }
+        for v in other.rank_violations {
+            if !self.rank_violations.contains(&v) {
+                self.rank_violations.push(v);
+            }
+        }
+        self.max_blocked = self.max_blocked.max(other.max_blocked);
+    }
 }
 
 #[derive(Debug, Default)]

@@ -82,6 +82,29 @@ impl SimLock {
         AcquireOutcome::Granted(grant)
     }
 
+    /// One attempt of a thread at `t`; `waiting` is the thread's own flag
+    /// that an earlier attempt was refused. A refused first attempt joins
+    /// the waiters (raising the spin penalty) and sets the flag; a granted
+    /// retry leaves them and clears it. Returns the grant time, or `None`
+    /// when refused.
+    pub fn request(&mut self, t: u64, waiting: &mut bool, cm: &CostModel) -> Option<u64> {
+        match self.try_acquire(t, *waiting, cm) {
+            AcquireOutcome::Granted(grant) => {
+                if std::mem::take(waiting) {
+                    self.pending = self.pending.saturating_sub(1);
+                }
+                Some(grant)
+            }
+            AcquireOutcome::Held => {
+                if !*waiting {
+                    self.pending += 1;
+                    *waiting = true;
+                }
+                None
+            }
+        }
+    }
+
     /// The holder releases at time `t`; returns the release completion
     /// time for the releasing thread.
     pub fn release(&mut self, t: u64, cm: &CostModel) -> u64 {
@@ -105,6 +128,24 @@ impl SimLock {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn requests_track_their_own_waiting() {
+        let cm = CostModel::default();
+        let mut l = SimLock::new(SimLockKind::Spin);
+        let (mut a, mut b) = (false, false);
+        let t = l.request(0, &mut a, &cm).expect("free lock grants");
+        assert_eq!(l.request(5, &mut b, &cm), None, "held");
+        assert_eq!(l.request(6, &mut b, &cm), None, "still held");
+        assert!(b && l.pending == 1, "one waiter, counted once");
+        let free = l.release(t, &cm);
+        let regrant = l.request(free, &mut b, &cm).expect("released");
+        assert!(!b && l.pending == 0);
+        assert!(
+            regrant > free + cm.lock_acquire,
+            "a retry pays the contention penalty"
+        );
+    }
 
     fn grant(o: AcquireOutcome) -> u64 {
         match o {

@@ -101,6 +101,42 @@ impl TmModel {
         (t.saturating_sub(tx.start)) + cm.tx_commit
     }
 
+    /// Commits `tx` at `t` under the optimistic protocol. An abort (a
+    /// conflict, or one `force_abort` asks for) backs off `base_spins`
+    /// doubled per abort (at most 8 doublings, modeled as spin cycles) and
+    /// redoes the transaction's work after the wasted time; after more
+    /// than `max_aborts` aborts the transaction escalates to
+    /// [`TmModel::commit_pessimistic`]. Returns the completion time and
+    /// the aborts.
+    pub fn commit_retrying(
+        &mut self,
+        mut tx: TxRecord,
+        mut t: u64,
+        cm: &CostModel,
+        (max_aborts, base_spins): (u64, u64),
+        mut force_abort: impl FnMut() -> bool,
+    ) -> (u64, u64) {
+        let mut aborts = 0;
+        loop {
+            if aborts > max_aborts {
+                return (self.commit_pessimistic(&tx, t, cm), aborts);
+            }
+            let outcome = if force_abort() {
+                Err(self.forced_abort(&tx, t, cm))
+            } else {
+                self.commit(&tx, t, cm)
+            };
+            match outcome {
+                Ok(done) => return (done, aborts),
+                Err(wasted) => {
+                    aborts += 1;
+                    t += wasted + (base_spins << aborts.min(8)) + tx.work;
+                    tx.start = t;
+                }
+            }
+        }
+    }
+
     /// Abort ratio so far.
     pub fn abort_ratio(&self) -> f64 {
         let total = self.commits + self.aborts;
@@ -115,6 +151,24 @@ impl TmModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn retrying_commit_backs_off_then_escalates() {
+        let cm = CostModel::default();
+        let mut tm = TmModel::new();
+        let tx = tm.begin(0, &cm);
+        // No conflict: commits at once.
+        assert_eq!(
+            tm.commit_retrying(tx.clone(), 10, &cm, (2, 4), || false),
+            (10 + cm.tx_commit, 0)
+        );
+        // Every attempt forced to abort: three aborts, then the
+        // pessimistic commit.
+        let (done, aborts) = tm.commit_retrying(tx, 10, &cm, (2, 4), || true);
+        assert_eq!(aborts, 3);
+        assert_eq!((tm.aborts, tm.fallbacks, tm.commits), (3, 1, 2));
+        assert!(done > 10 + 3 * cm.tx_commit + (4 << 1) + (4 << 2) + (4 << 3));
+    }
 
     #[test]
     fn disjoint_transactions_commit() {

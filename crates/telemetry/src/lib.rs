@@ -53,7 +53,7 @@ pub mod trace;
 pub use chrome::{chrome_trace_json, ChromeTraceBuilder};
 pub use event::{Event, EventKind, EventLog, Projection};
 pub use journal::{Journal, JournalEvent};
-pub use metrics::{MetricsRegistry, MetricsSink};
+pub use metrics::MetricsRegistry;
 pub use recovery::RecoveryReport;
 pub use report::{
     ClockUnit, LockReport, QueueReport, RunCounters, RunReport, SectionMeta, SectionProfile,

@@ -12,9 +12,9 @@
 //! are a projection of the executors' event stream ([`crate::event`]),
 //! derived at each section end from the same events as the spans. The
 //! bytecode retires are recorded by each worker into *private* local
-//! state (no shared atomics, no locks on the hot path) and published
-//! exactly once at worker exit through a [`MetricsSink`]. Merging is
-//! commutative (counter adds, element-wise histogram merges), so the
+//! state (no shared atomics, no locks on the hot path) and handed to the
+//! section barrier once, at worker exit, with the worker's events. Merging
+//! is commutative (counter adds, element-wise histogram merges), so the
 //! merged registry is deterministic regardless of worker publication
 //! order. On the DES all values are logical ticks; on real threads,
 //! monotonic nanoseconds.
@@ -33,7 +33,6 @@ use crate::json::escape;
 use commset_runtime::Hist64;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex};
 
 /// The merged metrics of one run: counters + histograms + bytecode
 /// hotspot attribution. All maps are `BTreeMap` so every rendering is
@@ -271,36 +270,6 @@ impl MetricsRegistry {
     }
 }
 
-/// The publication point workers hand their local metrics to: an
-/// `Arc<Mutex<..>>` touched once per worker lifetime (at exit), never on
-/// the hot path.
-#[derive(Debug, Clone, Default)]
-pub struct MetricsSink {
-    inner: Arc<Mutex<MetricsRegistry>>,
-}
-
-impl MetricsSink {
-    /// A fresh sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Folds one worker's locally-accumulated registry in.
-    pub fn publish(&self, local: &MetricsRegistry) {
-        if local.is_empty() {
-            return;
-        }
-        let mut g = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        g.absorb(local);
-    }
-
-    /// Extracts the merged registry, leaving the sink empty.
-    pub fn take(&self) -> MetricsRegistry {
-        let mut g = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        std::mem::take(&mut *g)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -367,17 +336,5 @@ mod tests {
         assert!(j.contains("\"lock_wait.FS\""));
         assert!(j.contains("\"count\":2"));
         assert!(j.contains("\"delta.applies\":4"));
-    }
-
-    #[test]
-    fn sink_merges_worker_publications() {
-        let sink = MetricsSink::new();
-        sink.publish(&sample());
-        sink.publish(&sample());
-        sink.publish(&MetricsRegistry::new());
-        let merged = sink.take();
-        assert_eq!(merged.counters()["delta.applies"], 8);
-        assert_eq!(merged.hists()["lock_wait.FS"].count(), 4);
-        assert!(sink.take().is_empty());
     }
 }

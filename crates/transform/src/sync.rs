@@ -26,8 +26,10 @@ pub struct SyncEngine {
     pub mode: SyncMode,
     /// Locks, indexed by lock id; `locks[i].set` names the CommSet.
     pub locks: Vec<LockSpec>,
-    /// member function → lock ids to acquire (already rank-sorted).
-    member_locks: HashMap<String, Vec<i64>>,
+    /// member function → lock ids to acquire (already rank-sorted). Keyed
+    /// in name order, so every scan of the members (the TM-applicability
+    /// diagnostic included) is deterministic.
+    member_locks: BTreeMap<String, Vec<i64>>,
 }
 
 impl SyncEngine {
@@ -109,7 +111,7 @@ impl SyncEngine {
                 members: members.into_iter().collect(),
             });
         }
-        let mut member_locks: HashMap<String, Vec<i64>> = HashMap::new();
+        let mut member_locks: BTreeMap<String, Vec<i64>> = BTreeMap::new();
         for m in &managed.members {
             if let Some(&r) = rank.get(&m.set) {
                 let e = member_locks.entry(m.func.clone()).or_default();
@@ -137,7 +139,9 @@ impl SyncEngine {
     }
 
     /// Checks TM applicability: members whose effect summaries touch an
-    /// irrevocable channel cannot run in a transaction.
+    /// irrevocable channel cannot run in a transaction. Members are scanned
+    /// in name order and channels in location order, so the diagnostic
+    /// names the same member and channel on every run.
     ///
     /// # Errors
     ///
@@ -519,5 +523,47 @@ mod tests {
         // OUTER's members call INNER's members, so OUTER must rank first.
         assert_eq!(engine.locks[0].set, "OUTER");
         assert_eq!(engine.locks[1].set, "INNER");
+    }
+
+    #[test]
+    fn tm_inapplicability_names_the_same_member_and_channel_every_time() {
+        use commset_analysis::effects::{FuncEffects, Location};
+        let m = managed(TWO_SETS);
+        // Every member touches both irrevocable channels, so any member
+        // and either channel could be named; the scan order decides.
+        let fx = FuncEffects {
+            reads: BTreeSet::new(),
+            writes: [
+                Location::Channel("FS".into()),
+                Location::Channel("CONSOLE".into()),
+            ]
+            .into_iter()
+            .collect(),
+        };
+        let summaries: HashMap<String, FuncEffects> = m
+            .members
+            .iter()
+            .map(|mm| (mm.func.clone(), fx.clone()))
+            .collect();
+        assert!(summaries.len() > 1, "needs several candidate members");
+        let irrevocable: BTreeSet<String> = ["FS".to_string(), "CONSOLE".to_string()].into();
+        let messages: BTreeSet<String> = (0..20)
+            .map(|_| {
+                let engine = SyncEngine::new(&m, SyncMode::Tm);
+                let summaries: HashMap<String, FuncEffects> = summaries.clone();
+                engine
+                    .check_tm_applicable(&m, &summaries, &irrevocable)
+                    .unwrap_err()
+                    .message
+            })
+            .collect();
+        assert_eq!(messages.len(), 1, "{messages:?}");
+        let first = m.members.iter().map(|mm| mm.func.as_str()).min().unwrap();
+        assert_eq!(
+            messages.first().unwrap(),
+            &format!(
+                "transactions are not applicable: member `{first}` performs irrevocable I/O on channel `CONSOLE`"
+            )
+        );
     }
 }

@@ -289,7 +289,7 @@ fn spsc_queue_matches_fifo_model() {
         for _ in 0..n_ops {
             if g.chance(1, 2) {
                 let v = g.range(0, 1000);
-                let pushed = q.try_push(v).is_ok();
+                let pushed = q.push_n(&[v]) == 1;
                 let model_pushed = model.len() < cap;
                 assert_eq!(pushed, model_pushed, "case {case}");
                 if model_pushed {

@@ -72,3 +72,36 @@ fn samples_without_pragmas_do_not_parallelize() {
         );
     }
 }
+
+/// `--sync tm` on md5sum is rejected (FS and CONSOLE are irrevocable)
+/// with one diagnostic, naming the same member and channel on every run,
+/// and the run-time error status.
+#[test]
+fn tm_rejection_on_md5sum_is_one_exact_diagnostic() {
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    for _ in 0..5 {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_commsetc"))
+            .current_dir(root)
+            .args([
+                "profile",
+                "samples/md5sum.cmm",
+                "--effects",
+                "samples/md5sum.effects",
+                "--scheme",
+                "dswp",
+                "--sync",
+                "tm",
+                "--threads",
+                "4",
+            ])
+            .output()
+            .expect("runs commsetc");
+        assert_eq!(out.status.code(), Some(1));
+        assert!(out.stdout.is_empty());
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            "error: commset error: transactions are not applicable: member \
+             `__commset_region_1` performs irrevocable I/O on channel `FS`\n"
+        );
+    }
+}
